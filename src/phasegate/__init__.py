@@ -47,6 +47,7 @@ from .gate import (
 )
 from .metrics import (
     MeritReport,
+    format_merit_table,
     ideal_choi,
     merit_report,
     process_fidelity,
@@ -109,6 +110,7 @@ __all__ = [
     "conditional_joint_state",
     "density",
     "feed_forward_correct",
+    "format_merit_table",
     "gate_unitary",
     "ideal_choi",
     "ideal_noise",

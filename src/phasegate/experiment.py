@@ -222,7 +222,9 @@ class CountTable:
             if header != CSV_HEADER:
                 raise DataFormatError(f"bad count CSV header: expected {CSV_HEADER!r}, got {header!r}")
             phases: list[float] = []
+            # Spelling as written -> phase index; spellings of one canonical phase share an index.
             phase_keys: dict[str, int] = {}
+            canonical_index: dict[float, int] = {}
             states_seen: list[str] = []
             bases_seen: list[str] = []
             records: dict[tuple, float] = {}
@@ -236,10 +238,16 @@ class CountTable:
                 phase_s, state, basis, det_p, det_d, interval_s, count_s = parts
                 if phase_s not in phase_keys:
                     try:
-                        phases.append(float(phase_s))
+                        phi = float(phase_s)
                     except ValueError:
-                        raise DataFormatError(f"line {lineno}: bad phase {phase_s!r}") from None
-                    phase_keys[phase_s] = len(phases) - 1
+                        phi = float("nan")
+                    if not np.isfinite(phi):
+                        raise DataFormatError(f"line {lineno}: bad phase {phase_s!r}")
+                    phi = canonical_phase(phi)
+                    if phi not in canonical_index:
+                        canonical_index[phi] = len(phases)
+                        phases.append(phi)
+                    phase_keys[phase_s] = canonical_index[phi]
                 if state not in STATE_LABELS:
                     raise DataFormatError(f"line {lineno}: unknown input_state {state!r}")
                 if basis not in BASIS_LABELS:

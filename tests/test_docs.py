@@ -1,0 +1,29 @@
+"""The README quick start and the demos run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_gate_physics.py", "02_coincidence_simulation.py", "03_process_tomography.py", "04_fidelity_report.py"]
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "F_chi" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -279,6 +279,32 @@ class TestCountTableCsv:
         with pytest.raises(DataFormatError, match="duplicate"):
             CountTable.from_csv(path)
 
+    def test_phase_spellings_merge(self, tmp_path):
+        # "0", "0.0" and 2*pi all name phase 0; their records form one phase.
+        plan = ExperimentPlan(phases=(0.0,), input_states=("0",), bases=("Z",))
+        table = simulate_counts(plan, ideal_noise(n_intervals=3), 19)
+        path = tmp_path / "counts.csv"
+        table.to_csv(path)
+        lines = path.read_text().splitlines()
+        spellings = ["0", "0.0", repr(2 * np.pi)]
+        rows = [f"{spellings[int(ln.split(',')[5])]}{ln[1:]}" for ln in lines[1:]]
+        path.write_text("\n".join([lines[0]] + rows) + "\n")
+        back = CountTable.from_csv(path)
+        assert back.phases == (0.0,)
+        np.testing.assert_array_equal(back.counts, table.counts)
+
+    def test_duplicate_across_phase_spellings_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(CSV_HEADER + "\n0,0,Z,D_p0,D_d0,0,5\n0.0,0,Z,D_p0,D_d0,0,5\n")
+        with pytest.raises(DataFormatError, match="duplicate"):
+            CountTable.from_csv(path)
+
+    def test_non_finite_phase_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\nnan,0,Z,D_p0,D_d0,0,5\n")
+        with pytest.raises(DataFormatError, match="phase"):
+            CountTable.from_csv(path)
+
     def test_unknown_labels_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n0,q,Z,D_p0,D_d0,0,5\n")

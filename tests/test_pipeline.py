@@ -9,6 +9,7 @@ from phasegate.config import RunConfig
 from phasegate.errors import DataFormatError
 from phasegate.experiment import CountTable, ExperimentPlan, calibrated_noise, ideal_noise, simulate_counts
 from phasegate.pipeline import (
+    _atomic,
     collect_reports,
     reconstruct_table,
     reports_from_reconstruction,
@@ -82,6 +83,39 @@ class TestArtifacts:
         assert "report.csv" in names and "report.txt" in names
         assert not [n for n in names if n.endswith(".tmp")]
         assert len(written) == len(names)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def fail(p):
+            with open(p, "w") as f:
+                f.write("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            _atomic(str(tmp_path / "report.csv"), fail)
+        assert os.listdir(tmp_path) == []
+
+    def test_temp_file_private_to_one_write(self, tmp_path):
+        # Another run's temp file for the same target must be left alone.
+        other = tmp_path / "report.csv.tmp"
+        other.write_text("other run")
+        seen = []
+
+        def write(p):
+            seen.append(p)
+            with open(p, "w") as f:
+                f.write("mine")
+
+        _atomic(str(tmp_path / "report.csv"), write)
+        assert os.path.dirname(seen[0]) == str(tmp_path)
+        assert other.read_text() == "other run"
+        assert (tmp_path / "report.csv").read_text() == "mine"
+        assert sorted(os.listdir(tmp_path)) == ["report.csv", "report.csv.tmp"]
+
+    def test_written_file_has_default_mode(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        _atomic(str(tmp_path / "atomic.txt"), lambda p: open(p, "w").close())
+        assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
 
     def test_emit_filter(self, small_run, tmp_path):
         cfg, result = small_run
