@@ -107,10 +107,11 @@ def _cmd_reconstruct(args) -> int:
     written = write_reconstruction(rs, cfg.output_dir, emit=cfg.emit)
     tag = variant_tag(rs.feed_forward)
     iters = [p.iterations for p in rs.processes]
+    gap = max(p.certified_gap for p in rs.processes)
     print(
         f"reconstructed {len(rs.phases)} phase(s) [{tag}]: "
         f"success probability {rs.success_probability:.4f}, "
-        f"iterations {min(iters)}-{max(iters)}, wrote {len(written)} file(s)"
+        f"iterations {min(iters)}-{max(iters)}, certified gap <= {gap:.2g} nats, wrote {len(written)} file(s)"
     )
     return EXIT_OK
 

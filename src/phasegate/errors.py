@@ -14,4 +14,10 @@ class DataFormatError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative reconstruction hit its iteration cap before converging."""
+    """A likelihood fit stopped without certifying its optimum.
+
+    Its certificate (the proven distance to the maximum likelihood) is
+    still above the tolerance, because the iteration cap was hit or no
+    step raises the likelihood any more; the message names the stop
+    reason and the gap.
+    """

@@ -42,7 +42,9 @@ def tensor(a, b) -> np.ndarray:
     ``(i_a, i_b)``, so ``tensor(A, B)[2*i+k, 2*j+l] = A[i, j] * B[k, l]``
     for qubit factors.
     """
-    return np.kron(as_matrix(a), as_matrix(b))
+    a, b = as_matrix(a), as_matrix(b)
+    # np.kron's general n-d path costs several times this on 2x2 factors.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def partial_trace(m, traced_out: int, dims: tuple[int, int] = (2, 2)) -> np.ndarray:

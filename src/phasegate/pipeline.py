@@ -34,6 +34,7 @@ from .experiment import (
 from .metrics import MeritReport, format_merit_table, merit_report, write_merit_csv
 from .states import BASIS_LABELS, STATE_LABELS
 from .tomography import (
+    GAP_TOL,
     ProcessReconstruction,
     StateReconstruction,
     load_choi,
@@ -99,7 +100,8 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
         proc = ml_reconstruct_process(settings_for_phase(rescaled, pi))
         if not proc.converged:
             raise ConvergenceError(
-                f"process reconstruction at phase index {pi} did not converge in {proc.iterations} iterations"
+                f"process reconstruction at phase index {pi} stopped uncertified ({proc.stop_reason}) after "
+                f"{proc.iterations} iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
             )
         processes.append(proc)
         output_states.append(
@@ -109,12 +111,14 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
 
 
 def reports_from_reconstruction(rs: ReconstructionSet) -> list[MeritReport]:
-    if tuple(rs.input_states) != STATE_LABELS:
+    """Merit rows of a reconstruction; output states are matched to the inputs by label."""
+    if sorted(rs.input_states) != sorted(STATE_LABELS):
         raise DataFormatError(f"merit report needs the full six-state input design, got {rs.input_states}")
+    order = [rs.input_states.index(label) for label in STATE_LABELS]
     return [
         merit_report(
             rs.processes[pi].choi,
-            [r.rho for r in rs.output_states[pi]],
+            [rs.output_states[pi][si].rho for si in order],
             phi,
             rs.feed_forward,
             rs.success_probability,

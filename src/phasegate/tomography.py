@@ -7,15 +7,22 @@ input first) that acts on states via
     rho_out = Tr_in[ chi (rho_in^T (x) I_out) ] .
 
 Process reconstruction from measured coincidence counts maximizes the
-multinomial log-likelihood ``sum_jk n_jk log p_jk(chi)`` over PSD
-matrices with Tr[chi] = 2, using the standard iterative fixed point
+multinomial log-likelihood ``L = sum_k n_k log p_k(chi)`` over PSD
+matrices with Tr[chi] = 2, where ``p_k = Tr[chi E_k]`` for the effective
+operators ``E_k = rho_j^T (x) pi_l``.  ``L`` is concave, so its gradient
+``R = sum_k (n_k / N p_k) E_k`` certifies every iterate: no feasible
+point beats ``chi`` by more than ``gap = N (2 lambda_max(R) - 1)`` nats
+(Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops once the
+gap is at most :data:`GAP_TOL`.  Two monotone engines climb ``L``:
 
-    chi <- N[ R chi R ],    R = sum_jk (n_jk / p_jk) E_jk ,
-
-with effective operators ``E_jk = rho_j^T (x) pi_k`` and ``N`` the
-trace renormalization.  The plain iteration is monotone in practice; if
-a step ever lowers the likelihood it is replaced by a diluted update
-``R_w = (1-w) I + w R`` with ``w`` halved until the step is accepted.
+* the fixed point ``chi <- N[R chi R]`` (RrhoR, ``N`` the trace
+  renormalization), which converges linearly when the optimum is
+  interior or its boundary directions carry a nonzero multiplier.  A step
+  that lowers ``L`` is replaced by a diluted one, ``R_w = (1-w) I + w R``
+  with ``w`` halved until the step is accepted;
+* accelerated projected gradient (APG; Shang, Zhang & Ng, PRA 95,
+  062336, 2017), which takes over when the gap shows that RrhoR has
+  slowed to a sublinear rate (see :func:`_ml_fixed_point`).
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -27,24 +34,38 @@ otherwise a point on the sphere fixed by one Lagrange multiplier
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DataFormatError
 from .linalg import eig_hermitian, is_hermitian, partial_trace, tensor
-from .states import BASIS_LABELS, BASIS_OUTCOMES, density, projector
+from .states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density
 
 CHOI_DIM = 4
-#: Model probabilities are clipped here before entering the R operator.
+#: Output-state likelihoods clip model probabilities here before the logarithm.
 PROB_FLOOR = 1e-12
-#: Fixed-point stop: max-norm change of the iterate.
-UPDATE_TOL = 1e-10
+#: A fit stops once its certificate proves it within this many nats of the maximum likelihood.
+GAP_TOL = 1e-6
+#: Default of the optional early exit on the max-norm change of the iterate: off.
+UPDATE_TOL = 0.0
 MAX_ITERS = 10**5
 # A step is treated as a likelihood decrease only beyond this slack;
 # per-event log-likelihoods are O(1), so this sits well above rounding.
 _DECREASE_TOL = 1e-14
+# RrhoR evaluates its certificate every this many iterations (one eigvalsh each).
+_CHECK_EVERY = 16
+# RrhoR hands over to APG at iteration 128, 256, 512, ... if its certificate fell by less
+# than this factor since half that iteration count (see _ml_fixed_point).
+_FIRST_HANDOVER = 128
+_HANDOVER_FACTOR = 6.0
+# APG declares the iterate stationary after this many steps in a row that do not raise L.
+_STALL_STEPS = 30
+# The certificate's own rounding error, in units of eps * (N + gap).
+_ROUNDING_ULPS = 64.0
 
 _PSD_ATOL = 1e-10
 
@@ -92,6 +113,24 @@ def require_projector(m, atol: float = _PSD_ATOL) -> np.ndarray:
     return pi
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+@functools.cache
+def _cardinal_design():
+    """The six cardinal states and the 36 operators ``rho^T (x) pi`` they form.
+
+    Validated once, on first use rather than at import, and read-only.
+    Each state serves as input state and as output projector; settings
+    built from these arrays share the operators and skip re-validation.
+    """
+    states = {label: _read_only(require_projector(require_density_matrix(density(label)))) for label in STATE_LABELS}
+    operators = {(id(a), id(b)): _read_only(tensor(a.T, b)) for a in states.values() for b in states.values()}
+    return states, operators
+
+
 @dataclass(frozen=True)
 class TomographySetting:
     """One effective measurement: prepare ``rho_in``, project output on ``pi_out``."""
@@ -99,17 +138,18 @@ class TomographySetting:
     rho_in: np.ndarray
     pi_out: np.ndarray
     count: float
+    #: Effective operator ``rho_in^T (x) pi_out`` on H_in (x) H_out.
+    operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_in", require_density_matrix(self.rho_in))
-        object.__setattr__(self, "pi_out", require_projector(self.pi_out))
+        operator = _cardinal_design()[1].get((id(self.rho_in), id(self.pi_out)))
+        if operator is None:
+            object.__setattr__(self, "rho_in", require_density_matrix(self.rho_in))
+            object.__setattr__(self, "pi_out", require_projector(self.pi_out))
+            operator = tensor(self.rho_in.T, self.pi_out)
         if not (np.isfinite(self.count) and self.count >= 0.0):
             raise ValueError(f"count must be finite and non-negative, got {self.count!r}")
-
-    @property
-    def operator(self) -> np.ndarray:
-        """Effective operator ``rho_in^T (x) pi_out`` on H_in (x) H_out."""
-        return tensor(self.rho_in.T, self.pi_out)
+        object.__setattr__(self, "operator", operator)
 
 
 def apply_map(chi, rho_in) -> tuple[np.ndarray, float]:
@@ -148,15 +188,23 @@ class ProcessReconstruction:
     """ML-estimated Choi matrix plus convergence diagnostics."""
 
     choi: np.ndarray
+    #: RrhoR plus APG steps taken.
     iterations: int
+    #: The fit is certified, or as close as rounding allows (see ``stop_reason``).
     converged: bool
     log_likelihood: float
     #: Per-event normalized log-likelihood after each accepted iteration.
     log_likelihood_trace: np.ndarray
-    #: Raw fixed-point steps that lowered the likelihood (before dilution).
+    #: Raw steps that would have lowered the likelihood (diluted or rejected instead).
     likelihood_decreases: int
     #: max |Tr_out[chi] - I|: how far the estimate is from trace preserving.
     trace_preservation_deviation: float
+    #: Proven upper bound on ``max L - L(choi)``, in nats.
+    certified_gap: float
+    #: Why the fit stopped: one of :data:`STOP_REASONS`.
+    stop_reason: str
+    #: Of ``iterations``, the APG steps taken after RrhoR handed over.
+    apg_iterations: int
 
 
 @dataclass
@@ -173,51 +221,149 @@ class StateReconstruction:
     likelihood_decreases: int = 0
 
 
-def _design_rank(operators: np.ndarray) -> int:
-    flat = operators.reshape(operators.shape[0], -1)
+@functools.lru_cache(maxsize=16)
+def _design_rank(flat_operators: bytes) -> int:
+    # Keyed by the raw operator stack: every phase of a table shares one design.
+    flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, CHOI_DIM * CHOI_DIM)
     return int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))
 
 
-def _ml_fixed_point(operators: np.ndarray, counts: np.ndarray, dim: int, trace_target: float,
-                    tol: float, max_iters: int):
-    """Shared RhoR iteration over Hermitian ``operators`` with given trace.
+#: ``certified``: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding
+#: error of the certificate itself, which exceeds GAP_TOL once N is above about 7e7 events.
+#: ``stalled``: no step raises L any more, yet the gap is above both.  ``max_iters``: the cap
+#: was hit.  ``step``: the caller's ``tol`` on the change of the iterate was met first, which
+#: proves nothing about the gap.
+STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
-    The inner loop runs for thousands of iterations when the optimum
-    sits on the PSD boundary, so the per-iteration work is phrased as
-    flat matrix-vector products instead of general einsum contractions.
+
+class _Fit(NamedTuple):
+    est: np.ndarray
+    iterations: int
+    converged: bool
+    #: Total (not per-event) log-likelihood.
+    log_likelihood: float
+    trace: np.ndarray
+    decreases: int
+    gap: float
+    stop_reason: str
+    apg_iterations: int
+
+
+def _frobenius(m: np.ndarray) -> float:
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def _project_trace_simplex(m: np.ndarray, trace_target: float) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix with trace ``trace_target`` to the Hermitian ``m``."""
+    w, v = np.linalg.eigh(m)
+    # Project the eigenvalues onto the simplex {x >= 0, sum x = trace_target}: shift them
+    # down by the level that keeps the largest k of them positive with the right sum.
+    level, total = 0.0, 0.0
+    for k, x in enumerate(reversed(w.tolist()), start=1):
+        total += x
+        if x * k <= total - trace_target:
+            break
+        level = (total - trace_target) / k
+    return (v * np.maximum(w - level, 0.0)) @ v.conj().T
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float,
+                    tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> _Fit:
+    """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
+
+    Starts with RrhoR and checks the certificate ``gap`` every
+    ``_CHECK_EVERY`` iterations.  Hand-over rule: at iterations 128, 256,
+    512, ... the iterate goes to APG if the gap fell by less than
+    ``_HANDOVER_FACTOR`` since half that iteration count.  When the
+    optimum has an eigenvalue ``lambda = 0`` whose direction ``v`` has a
+    vanishing multiplier (``trace_target * v^H R v -> 1``), RrhoR scales
+    ``lambda`` by ``(trace_target * v^H R v)^2 = 1 - O(lambda)`` per step,
+    so ``lambda`` falls like ``1/k`` and the gap, quadratic in it, like
+    ``1/k^2``: a factor 4 per doubling, for thousands of iterations.  In
+    the linear regime the factor per doubling is ``exp(a k / 2)`` for a
+    rate ``a``, so it grows with ``k``; a factor 6 separates the two on
+    calibrated and noiseless data with room for the transient (a linear
+    fit sent over needs ``a < 0.028`` per step, i.e. hundreds of RrhoR
+    steps to go, and APG finishes those too).  APG sets boundary
+    eigenvalues to zero exactly in its projection, so it does not slow
+    down there; it is not the first engine because small positive optimal
+    eigenvalues make the likelihood ill-conditioned for a gradient method,
+    which RrhoR's multiplicative update does not feel.
+
+    Every accepted iterate lowers the per-event log-likelihood by at most
+    ``_DECREASE_TOL``, so the trace is monotone.  ``tol > 0`` adds an
+    early exit once a step changes the iterate by less than ``tol`` in
+    max norm; such a stop is not certified.
     """
+    counts = np.asarray(counts, dtype=float)
     n_total = counts.sum()
     if n_total <= 0.0:
         raise DataFormatError("total count is zero; nothing to reconstruct")
-    weights = counts / n_total
+    # Outcomes with no counts do not enter L or its gradient.
+    keep = counts > 0.0
+    weights = counts[keep] / n_total
+    ops = np.asarray(operators)[keep]
+    # Both stacks stay fixed and act on matrices viewed as (re, im) float pairs:
+    # Tr[m E_k] = Re[vec(E_k^T) . vec(m)] for Hermitian m and E_k.
+    e_probe = np.ascontiguousarray(ops.transpose(0, 2, 1).conj()).reshape(len(ops), dim * dim).view(float)
+    e_build = np.ascontiguousarray(ops).reshape(len(ops), dim * dim).view(float)
 
-    # Tr[m E_n] = vec(E_n^T) . vec(m); both stacks stay fixed.
-    e_probe = operators.transpose(0, 2, 1).reshape(len(operators), dim * dim)
-    e_build = operators.reshape(len(operators), dim * dim)
-
+    # Iterates keep Tr = trace_target, where p_k = Tr[m E_k] is linear in m.
     def probs(m):
-        p = (e_probe @ m.reshape(-1)).real / (np.trace(m).real / trace_target)
-        return np.maximum(p, PROB_FLOOR)
+        return e_probe @ m.reshape(-1).view(float)
 
-    def loglik(m):
-        return float(weights @ np.log(probs(m)))
+    def loglik(p):
+        # nan or -inf where some p_k <= 0; callers accept a point only if ``loglik >= bound``.
+        return float(weights @ np.log(p))
 
+    def gradient(p):
+        return ((weights / p) @ e_build).view(complex).reshape(dim, dim)
+
+    def certificate(r):
+        return float(n_total * (trace_target * np.linalg.eigvalsh(r)[-1] - 1.0))
+
+    def settled(gap):
+        """The stop reason the certificate gives, or None to go on."""
+        # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
+        floor = _ROUNDING_ULPS * np.finfo(float).eps * (n_total + gap)
+        if gap <= GAP_TOL:
+            return "certified" if floor <= GAP_TOL else "rounding"
+        return "rounding" if gap <= floor else None
+
+    # Rounding leaves iterates Hermitian only to about eps; p_k reads the Hermitian part,
+    # and the estimate is symmetrized on return.
     def renormalize(m):
-        m = 0.5 * (m + m.conj().T)
-        return m * (trace_target / np.trace(m).real)
+        return m * (trace_target / m.trace().real)
 
     est = np.eye(dim, dtype=complex) * (trace_target / dim)
-    ll = loglik(est)
+    p = probs(est)
+    ll = loglik(p)
+    r = gradient(p)
     trace = [ll]
     decreases = 0
     iterations = 0
-    converged = False
+    gap = math.inf
+    reason = None
+
+    # RrhoR, until certified or handed over.
     eye = np.eye(dim, dtype=complex)
-    for iterations in range(1, max_iters + 1):
-        r = ((weights / probs(est)) @ e_build).reshape(dim, dim)
+    checkpoint_gap = math.inf
+    while reason is None and iterations < max_iters:
+        if iterations and iterations % _CHECK_EVERY == 0:
+            gap = certificate(r)
+            reason = settled(gap)
+            if reason:
+                break
+            if iterations & (iterations - 1) == 0 and iterations >= _FIRST_HANDOVER // 2:
+                if iterations >= _FIRST_HANDOVER and gap * _HANDOVER_FACTOR > checkpoint_gap:
+                    break
+                checkpoint_gap = gap
+        iterations += 1
         candidate = renormalize(r @ est @ r)
-        ll_new = loglik(candidate)
-        if ll_new < ll - _DECREASE_TOL:
+        p_new = probs(candidate)
+        ll_new = loglik(p_new)
+        if not ll_new >= ll - _DECREASE_TOL:
             decreases += 1
             # Dilute the step until it stops hurting the likelihood.
             r_bar = r * (dim / np.trace(r).real)
@@ -225,22 +371,75 @@ def _ml_fixed_point(operators: np.ndarray, counts: np.ndarray, dim: int, trace_t
             while w > 1e-6:
                 r_w = (1.0 - w) * eye + w * r_bar
                 candidate = renormalize(r_w @ est @ r_w)
-                ll_new = loglik(candidate)
+                p_new = probs(candidate)
+                ll_new = loglik(p_new)
                 if ll_new >= ll - _DECREASE_TOL:
                     break
                 w *= 0.5
             else:
-                # No step length helps; treat the current point as converged.
-                break
-        delta = float(np.max(np.abs(candidate - est)))
-        est = candidate
-        ll = ll_new
+                break  # no step length helps RrhoR here; APG takes over
+        step = float(np.max(np.abs(candidate - est))) if tol > 0.0 else math.inf
+        est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
         trace.append(ll)
-        if delta < tol:
-            converged = True
-            break
-    total_ll = float(n_total * ll)
-    return est, iterations, converged, total_ll, np.asarray(trace), decreases
+        if step < tol:
+            reason = "step"
+
+    # APG with monotone acceptance, gradient restart (O'Donoghue & Candes) and a step
+    # length backtracked on gradient differences: function values carry rounding at
+    # sqrt(eps) relative to the gap near the optimum, gradients do not.
+    handover = iterations
+    if reason is None and iterations < max_iters:
+        gap = certificate(r)
+        reason = settled(gap)
+        previous = est
+        theta = 1.0
+        # First step length: 1 / sum_k f_k / p_k^2, below 1 / curvature of L for unit-norm E_k.
+        t = 1.0 / float(weights @ (1.0 / p**2))
+        flat_steps = 0
+    while reason is None and iterations < max_iters:
+        iterations += 1
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        y, p_y, r_y = est, p, r
+        if theta > 1.0:
+            y_m = est + ((theta - 1.0) / theta_next) * (est - previous)
+            p_m = probs(y_m)
+            if p_m.min() > 0.0:
+                y, p_y, r_y = y_m, p_m, gradient(p_m)
+        for _ in range(60):
+            z = _project_trace_simplex(y + t * r_y, trace_target)
+            p_z = probs(z)
+            dz = _frobenius(z - y)
+            if p_z.min() > 0.0:
+                r_z = gradient(p_z)
+                dr = _frobenius(r_z - r_y)
+                if t * dr <= dz:
+                    break
+                t = min(0.5 * t, dz / dr)
+            else:
+                t *= 0.5
+        # A step that failed every test is judged by L alone (and rejected if infeasible).
+        ll_z = loglik(p_z)
+        flat_steps = 0 if ll_z > ll else flat_steps + 1
+        if ll_z >= ll - _DECREASE_TOL:
+            restart = np.vdot(z - y, z - est).real < 0.0
+            previous, est, p, ll, r = est, z, p_z, ll_z, r_z
+            trace.append(ll)
+            theta = 1.0 if restart else theta_next
+            t *= 1.5
+        else:
+            decreases += 1
+            previous, theta = est, 1.0
+            t *= 0.25
+        gap = certificate(r)
+        reason = settled(gap) or ("stalled" if flat_steps >= _STALL_STEPS else None)
+
+    if reason in (None, "step"):
+        gap = certificate(r)
+        reason = settled(gap) or reason or "max_iters"
+    converged = reason in ("certified", "rounding")
+    est = 0.5 * (est + est.conj().T)
+    return _Fit(est, iterations, converged, float(n_total * ll), np.asarray(trace), decreases, gap, reason,
+                iterations - handover)
 
 
 def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> ProcessReconstruction:
@@ -249,22 +448,24 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
     Requires an informationally complete design (the operators must span
     the full 16-dimensional Hermitian space); the six-input, three-basis
     plan qualifies.  Counts may be non-integer (efficiency rescaled).
+    The fit stops when it is certified within :data:`GAP_TOL` nats of the
+    maximum, or as ``stop_reason`` records; ``tol > 0`` adds an
+    uncertified early exit on the change of the iterate.
     """
     settings = list(settings)
     if not settings:
         raise DataFormatError("no tomography settings supplied")
     operators = np.stack([s.operator for s in settings])
     counts = np.asarray([s.count for s in settings], dtype=float)
-    rank = _design_rank(operators)
+    rank = _design_rank(operators.tobytes())
     if rank < CHOI_DIM * CHOI_DIM:
         raise DataFormatError(
             f"measurement design is rank-deficient: spans {rank} of {CHOI_DIM * CHOI_DIM} dimensions"
         )
-    est, iters, converged, ll, trace, decreases = _ml_fixed_point(
-        operators, counts, CHOI_DIM, 2.0, tol, max_iters
-    )
-    tp_dev = float(np.max(np.abs(partial_trace(est, traced_out=1) - np.eye(2))))
-    return ProcessReconstruction(est, iters, converged, ll, trace, decreases, tp_dev)
+    fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol, max_iters)
+    tp_dev = float(np.max(np.abs(partial_trace(fit.est, traced_out=1) - np.eye(2))))
+    return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
+                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.apg_iterations)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -417,15 +618,14 @@ def settings_for_phase(counts_table, phase_index: int):
     zeroed.  Data detector D_d0 maps to the first outcome of the basis,
     D_d1 to the second.
     """
-    settings = []
-    for si, state_label in enumerate(counts_table.input_states):
-        rho_in = density(state_label)
-        for bi, basis in enumerate(counts_table.bases):
-            block = counts_table.setting_counts(phase_index, si, bi)  # (program, data)
-            per_detector = block.sum(axis=0)
-            for dj, outcome_label in enumerate(BASIS_OUTCOMES[basis]):
-                settings.append(TomographySetting(rho_in, projector(outcome_label), float(per_detector[dj])))
-    return settings
+    per_detector = counts_table.counts[phase_index].sum(axis=(2, 4))  # (state, basis, data detector)
+    cardinal, _ = _cardinal_design()
+    return [
+        TomographySetting(cardinal[state_label], cardinal[outcome_label], float(per_detector[si, bi, dj]))
+        for si, state_label in enumerate(counts_table.input_states)
+        for bi, basis in enumerate(counts_table.bases)
+        for dj, outcome_label in enumerate(BASIS_OUTCOMES[basis])
+    ]
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):
@@ -443,7 +643,8 @@ def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, *
 
     Layout: ``phase``, ``iterations``, ``log_likelihood`` (plus any
     extra key-value metadata) lines, then ``dim 4`` and 16 row-major
-    ``re im`` entry lines at 15 significant digits.
+    ``re im`` entry lines at 15 significant digits.  ``iterations`` is
+    :attr:`ProcessReconstruction.iterations`: RrhoR and APG steps together.
     """
     chi = np.asarray(chi, dtype=complex)
     with open(path, "w", encoding="utf-8", newline="") as f:

@@ -1,12 +1,14 @@
 """Pipeline orchestration: reconstruction sets, file artifacts, report assembly."""
 
+import functools
 import os
 
 import numpy as np
 import pytest
 
+from phasegate import pipeline
 from phasegate.config import RunConfig
-from phasegate.errors import DataFormatError
+from phasegate.errors import ConvergenceError, DataFormatError
 from phasegate.experiment import CountTable, ExperimentPlan, calibrated_noise, ideal_noise, simulate_counts
 from phasegate.pipeline import (
     _atomic,
@@ -61,6 +63,31 @@ class TestReconstructTable:
         result = run_pipeline(cfg)
         assert [rs.feed_forward for rs in result.reconstructions] == [False]
         assert all(not r.feed_forward_active for r in result.reports)
+
+    def test_reports_match_input_states_by_label(self, small_run, tmp_path):
+        # A count CSV whose rows list the input states in another order.
+        cfg, result = small_run
+        path = tmp_path / "counts.csv"
+        result.counts.to_csv(path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        order = ["-i", "+", "1", "0", "+i", "-"]
+        rows.sort(key=lambda row: order.index(row.split(",")[1]))
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        table = CountTable.from_csv(path)
+        assert table.input_states == tuple(order)
+        reports = reports_from_reconstruction(reconstruct_table(table, cfg.noise, True))
+        expected = result.reports[0]
+        assert reports[0].F_chi == pytest.approx(expected.F_chi, abs=1e-12)
+        for name in ("F_av", "F_min", "P_av", "P_min"):
+            assert getattr(reports[0], name) == pytest.approx(getattr(expected, name), abs=1e-12)
+
+    def test_uncertified_fit_names_stop_reason_and_gap(self, small_run, monkeypatch):
+        cfg, result = small_run
+        capped = functools.partial(pipeline.ml_reconstruct_process, max_iters=3)
+        monkeypatch.setattr(pipeline, "ml_reconstruct_process", capped)
+        with pytest.raises(ConvergenceError, match=r"phase index 0 stopped uncertified \(max_iters\) after 3 "
+                                                   r"iterations: certified gap .* nats > 1e-06"):
+            reconstruct_table(result.counts, cfg.noise, True)
 
     def test_six_state_requirement_for_reports(self):
         # Four states are enough for the process ML but not for the report.

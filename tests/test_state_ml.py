@@ -1,4 +1,4 @@
-"""Closed-form state ML against the iterative RrhoR reference and the concavity certificate."""
+"""Closed-form state ML against the iterative reference and the concavity certificate."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phasegate.errors import DataFormatError
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, density, projector
-from phasegate.tomography import MAX_ITERS, UPDATE_TOL, _ml_fixed_point, ml_reconstruct_state
+from phasegate.tomography import GAP_TOL, MAX_ITERS, UPDATE_TOL, _ml_fixed_point, ml_reconstruct_state
 
 OPERATORS = np.stack([projector(label) for b in BASIS_LABELS for label in BASIS_OUTCOMES[b]])
 #: Certified distance to the likelihood maximum that an exact solve must reach, in nats.
@@ -36,9 +36,9 @@ def certified_gap(rho, basis_counts):
 
 
 def reference(basis_counts, max_iters=MAX_ITERS):
-    """The iterative RrhoR fixed point on the same six projectors."""
-    est, _, _, ll, _, _ = _ml_fixed_point(OPERATORS, flat_counts(basis_counts), 2, 1.0, UPDATE_TOL, max_iters)
-    return est, ll
+    """The iterative estimator of the process fits (RrhoR, then APG) on the same six projectors."""
+    fit = _ml_fixed_point(OPERATORS, flat_counts(basis_counts), 2, 1.0, UPDATE_TOL, max_iters)
+    return fit.est, fit.log_likelihood
 
 
 def bloch(rho):
@@ -156,6 +156,17 @@ class TestExplicitCases:
         est, ref_ll = reference(counts)
         np.testing.assert_allclose(res.rho, est, atol=1e-5)
         assert res.log_likelihood >= ref_ll - 1e-9 * 3000
+
+    def test_reference_certifies_nearly_empty_outcome(self):
+        # One Z outcome holds 0.5 of 168,530 counts and X, Y are empty.  A stop on the step
+        # size alone ends here after 2 iterations at rho_11 = 7.9e-11, 6.3e9 nats short of
+        # the optimum rho_11 = 0.5 / 168,530.
+        counts = {"Z": (168529.5, 0.5), "X": (0.0, 0.0), "Y": (0.0, 0.0)}
+        fit = _ml_fixed_point(OPERATORS, flat_counts(counts), 2, 1.0, UPDATE_TOL, MAX_ITERS)
+        assert fit.converged and fit.stop_reason == "certified"
+        assert certified_gap(fit.est, counts) <= GAP_TOL
+        assert fit.est[1, 1].real == pytest.approx(0.5 / 168530.0, rel=1e-3)
+        assert np.all(np.diff(fit.trace) >= -1e-12)
 
     def test_diagnostics_fields(self):
         res = ml_reconstruct_state({b: (5.0, 5.0) for b in BASIS_LABELS})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasegate.errors import DataFormatError
+from phasegate.experiment import ExperimentPlan, ideal_noise, simulate_counts
 from phasegate.gate import gate_unitary
 from phasegate.linalg import eig_hermitian
 from phasegate.metrics import ideal_choi, process_fidelity
@@ -19,6 +20,7 @@ from phasegate.tomography import (
     save_choi,
     save_state,
     setting_probability,
+    settings_for_phase,
 )
 
 
@@ -259,3 +261,14 @@ class TestValidation:
     def test_setting_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="trace"):
             TomographySetting(2 * density("0"), projector("0"), 1.0)
+
+    def test_phase_design_shares_validated_operators(self):
+        table = simulate_counts(ExperimentPlan(phases=(0.3,)), ideal_noise(pair_rate=500.0, n_intervals=1), 3)
+        settings = settings_for_phase(table, 0)
+        assert len(settings) == 36
+        for s in settings:
+            np.testing.assert_array_equal(s.operator, np.kron(s.rho_in.T, s.pi_out))
+            assert not (s.operator.flags.writeable or s.rho_in.flags.writeable)
+        # Only the design's own arrays skip validation; a modified copy does not.
+        with pytest.raises(ValueError, match="trace"):
+            TomographySetting(2 * settings[0].rho_in, settings[0].pi_out, 1.0)
