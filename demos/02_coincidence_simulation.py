@@ -2,9 +2,11 @@
 
 Every experimental setting (phase, input state, measurement basis) yields a
 2x2 table of coincidence rates between the two program detectors and the
-two data detectors.  The simulator draws Poisson counts per acquisition
-interval from those rates, after folding in detector efficiencies, dark
-coincidences, interference visibility and slow phase jitter.
+two data detectors.  With the feed forward both program branches carry
+the gate output, so the rates have a closed form in the input state, the
+phase, detector efficiencies, dark coincidences and interference
+visibility.  The simulator draws Poisson counts per acquisition interval
+from those rates, at a phase jittered afresh in every interval.
 """
 
 import tempfile

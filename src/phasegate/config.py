@@ -29,7 +29,7 @@ class RunConfig:
     emit: tuple[str, ...] = EMIT_CHOICES
 
     def __post_init__(self):
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.feed_forward, bool):
             raise ConfigError(f"feed_forward must be a boolean, got {self.feed_forward!r}")

@@ -6,35 +6,37 @@ detector (D_p0 for the ``+`` outcome, D_p1 for ``-``) and one data
 detector (D_d0/D_d1 for the two outcomes of the chosen analysis basis),
 accumulated over repeated fixed-length intervals.
 
-Noise model, in the order it is applied:
+The simulated apparatus is the corrected one.  The feed forward leaves
+both program branches in the gate output ``U(phi)|psi_in>``, each with
+probability 1/2, so :func:`outcome_probabilities` writes the detector
+rates in closed form rather than replaying collapse and correction (the
+step-by-step physics is in :mod:`phasegate.gate`).  Noise model:
 
-* interference visibility scales the off-diagonal (coherence) terms of
-  the data qubit's density matrix once, before the basis projection;
+* interference visibility scales the coherence of the data qubit's
+  output density matrix once;
 * phase jitter perturbs the programmed phase by a fresh zero-mean
   Gaussian draw per setting and interval (one stabilization cycle);
 * detector efficiencies multiply each branch's pair rate;
 * accidental dark coincidences add rate ``dark_i * dark_j * window``
   per detector pair.
 
-Feed-forward correction is part of the simulated apparatus: the D_p1
-branch is always corrected before the data measurement.  The analysis
-without feed forward is obtained afterwards by discarding the D_p1
-records (:func:`select_without_feedforward`), exactly as one would
-post-select on the lab dataset.
+The analysis without feed forward is obtained afterwards by discarding
+the D_p1 records (:func:`select_without_feedforward`), exactly as one
+would post-select on the lab dataset.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gate, states
 from .errors import ConfigError, DataFormatError
-from .gate import POSTSELECTION_PROBABILITY, ProgramOutcome, canonical_phase
-from .states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS
+from .gate import POSTSELECTION_PROBABILITY, canonical_phase
+from .states import BASIS_LABELS, STATE_LABELS, as_state, require_normalized
 
 PROGRAM_DETECTORS = ("D_p0", "D_p1")
 DATA_DETECTORS = ("D_d0", "D_d1")
@@ -74,6 +76,10 @@ class NoiseConfig:
     coincidence_window: float = 10e-9
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool):  # JSON true/false would pass the checks below as 1/0
+                raise ConfigError(f"{f.name} must be a number, got {v!r}")
         for name in ("eta_p0", "eta_d0", "eta_d1", "eta_p1", "visibility"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
@@ -202,18 +208,14 @@ class CountTable:
         return self.counts[phase_index, state_index, basis_index].sum(axis=2)
 
     def to_csv(self, path) -> None:
+        keys = itertools.product(
+            [f"{phi:.12g}" for phi in self.phases], self.input_states, self.bases, PROGRAM_DETECTORS, DATA_DETECTORS
+        )
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(CSV_HEADER + "\n")
-            for pi, phi in enumerate(self.phases):
-                for si, state in enumerate(self.input_states):
-                    for bi, basis in enumerate(self.bases):
-                        for di, det_p in enumerate(PROGRAM_DETECTORS):
-                            for dj, det_d in enumerate(DATA_DETECTORS):
-                                for t in range(self.n_intervals):
-                                    c = self.counts[pi, si, bi, di, dj, t]
-                                    f.write(
-                                        f"{phi:.12g},{state},{basis},{det_p},{det_d},{t},{_format_count(c)}\n"
-                                    )
+            for key, block in zip(keys, self.counts.reshape(-1, self.n_intervals)):
+                prefix = ",".join(key)
+                f.writelines(f"{prefix},{t},{_format_count(c)}\n" for t, c in enumerate(block.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "CountTable":
@@ -294,52 +296,40 @@ def _format_count(c: float) -> str:
     return format(float(c), ".12g")
 
 
-def _damp_coherence(rho: np.ndarray, visibility: float) -> np.ndarray:
-    """Scale the off-diagonal terms of a qubit density matrix once."""
-    out = rho.copy()
-    out[0, 1] *= visibility
-    out[1, 0] *= visibility
-    return out
+def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
+    """Detector-pair click probabilities for one setting, in closed form.
 
+    Returns ``(probs, total_rate)``: ``probs`` is the 2x2 array over
+    (program_detector, data_detector), normalized to sum 1, and
+    ``total_rate`` the pre-normalization coincidence rate in counts per
+    second (signal plus accidentals).  An array ``phi`` of shape ``(k,)``
+    gives shapes ``(k, 2, 2)`` and ``(k,)``.
 
-def outcome_probabilities(psi_in, phi: float, basis: str, noise: NoiseConfig):
-    """Detector-pair click probabilities for one measurement setting.
-
-    Returns ``(probs, total_rate)`` where ``probs`` is the 2x2 array of
-    probabilities over (program_detector, data_detector), normalized to
-    sum 1, and ``total_rate`` is the pre-normalization coincidence rate
-    in counts per second (signal plus accidentals).
-
-    The feed-forward correction is applied on the D_p1 branch before the
-    data measurement; imperfect interference enters as a single
-    visibility damping of the data qubit's coherences.
+    The feed forward leaves both program branches, each taken with
+    probability 1/2, in the gate output ``(alpha, beta e^{i phi})``, whose
+    coherence ``rho_10 = V conj(alpha) beta e^{i phi}`` is damped once by
+    the visibility ``V``.  Along the basis axis its Bloch component is
+    ``|alpha|^2 - |beta|^2`` (Z), ``2 Re rho_10`` (X) or ``2 Im rho_10``
+    (Y), and D_d0/D_d1 click with probability ``(1 +- r)/2``.
     """
     if basis not in BASIS_LABELS:
         raise ConfigError(f"unknown basis {basis!r}")
-    joint = gate.conditional_joint_state(psi_in, phi)
-    outcome_kets = [states.ket(lbl) for lbl in BASIS_OUTCOMES[basis]]
-    rate = np.zeros((2, 2))
-    for di, outcome in enumerate((ProgramOutcome.PLUS, ProgramOutcome.MINUS)):
-        data_state, p_prog = gate.measure_program(joint, outcome)
-        data_state = gate.feed_forward_correct(data_state, outcome)
-        rho = _damp_coherence(np.outer(data_state, data_state.conj()), noise.visibility)
-        for dj, b_ket in enumerate(outcome_kets):
-            q = float(np.real(np.vdot(b_ket, rho @ b_ket)))
-            signal = (
-                noise.pair_rate
-                * POSTSELECTION_PROBABILITY
-                * p_prog
-                * q
-                * noise.eta_program[di]
-                * noise.eta_data[dj]
-            )
-            dark = noise.dark_program[di] * noise.dark_data[dj] * noise.coincidence_window
-            rate[di, dj] = signal + dark
-    total_rate = float(rate.sum())
-    if total_rate <= 0.0:
-        # Degenerate configs (zero pair rate and zero darks) still need a distribution.
-        return np.full((2, 2), 0.25), 0.0
-    return rate / total_rate, total_rate
+    alpha, beta = require_normalized(as_state(psi_in))
+    phi = np.asarray(phi, dtype=float)
+    rho10 = noise.visibility * np.conj(alpha) * beta * np.exp(1j * phi)
+    if basis == "Z":
+        r = np.full(phi.shape, abs(alpha) ** 2 - abs(beta) ** 2)
+    else:
+        r = 2.0 * (rho10.real if basis == "X" else rho10.imag)
+    q = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)[..., None, :]
+    signal = noise.pair_rate * POSTSELECTION_PROBABILITY * 0.5 * np.outer(noise.eta_program, noise.eta_data)
+    dark = np.outer(noise.dark_program, noise.dark_data) * noise.coincidence_window
+    rate = signal * q + dark
+    total_rate = rate.sum(axis=(-2, -1))
+    total = total_rate[..., None, None]
+    # Degenerate configs (zero pair rate and zero darks) still need a distribution.
+    probs = np.divide(rate, total, out=np.full(rate.shape, 0.25), where=total > 0.0)
+    return probs, (float(total_rate) if phi.ndim == 0 else total_rate)
 
 
 def setting_seed(seed: int, phase_index: int, state_index: int, basis_index: int) -> np.random.SeedSequence:
@@ -350,24 +340,22 @@ def setting_seed(seed: int, phase_index: int, state_index: int, basis_index: int
 def simulate_counts(plan: ExperimentPlan, noise: NoiseConfig, seed: int) -> CountTable:
     """Draw a full synthetic coincidence dataset; deterministic in ``seed``.
 
-    Per setting and interval: the programmed phase is perturbed by a
-    fresh Gaussian jitter draw, a total event count is drawn from a
-    Poisson law with mean ``total_rate * interval_s``, and that total is
-    split multinomially over the four detector pairs.
+    Each setting draws from its own stream (:func:`setting_seed`), in this
+    order: one Gaussian phase jitter per interval, then one Poisson total
+    per interval with mean ``total_rate * interval_s`` at the jittered
+    phase, then one multinomial split of each total over the four
+    detector pairs.
     """
     shape = (len(plan.phases), len(plan.input_states), len(plan.bases), 2, 2, noise.n_intervals)
     counts = np.zeros(shape, dtype=float)
     for pi, phi in enumerate(plan.phases):
         for si, label in enumerate(plan.input_states):
-            psi_in = states.ket(label)
             for bi, basis in enumerate(plan.bases):
                 rng = np.random.default_rng(setting_seed(seed, pi, si, bi))
-                for t in range(noise.n_intervals):
-                    phi_t = phi + (rng.normal(0.0, noise.phase_sigma) if noise.phase_sigma > 0 else 0.0)
-                    probs, total_rate = outcome_probabilities(psi_in, phi_t, basis, noise)
-                    n = rng.poisson(total_rate * noise.interval_s)
-                    if n > 0:
-                        counts[pi, si, bi, :, :, t] = rng.multinomial(n, probs.ravel()).reshape(2, 2)
+                phi_t = phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals)
+                probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
+                n = rng.poisson(total_rate * noise.interval_s)
+                counts[pi, si, bi] = rng.multinomial(n, probs.reshape(-1, 4)).T.reshape(2, 2, -1)
     return CountTable(plan.phases, plan.input_states, plan.bases, counts)
 
 

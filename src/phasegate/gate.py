@@ -31,7 +31,7 @@ from .states import as_state, require_normalized
 #: this interferometer; not derived from a photon-number model).
 POSTSELECTION_PROBABILITY = 0.5
 
-#: Program-measurement branches never deviate from an even split.
+#: Period of the programmed phase; :func:`canonical_phase` wraps into ``[0, 2*pi)``.
 _TWO_PI = 2.0 * np.pi
 
 

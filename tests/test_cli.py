@@ -46,6 +46,10 @@ class TestRunConfig:
             ({"emit": ["counts", "everything"]}, "everything"),
             ({"emit": ["counts", "counts"]}, "duplicates"),
             ({"feed_forward": 1}, "feed_forward"),
+            ({"seed": True}, "seed"),
+            ({"noise": {"eta_p0": True}}, "eta_p0"),
+            ({"noise": {"n_intervals": True}}, "n_intervals"),
+            ({"noise": {"pair_rate": False}}, "pair_rate"),
         ],
     )
     def test_rejections_name_the_problem(self, data, fragment):
@@ -164,6 +168,10 @@ class TestCli:
         bad.write_text('{"noise": {"pair_rate": -3}}')
         assert main(["simulate", "--config", str(bad), "--seed", "1"]) == EXIT_CONFIG
         assert "pair_rate" in capsys.readouterr().err
+        bad.write_text('{"seed": true, "noise": {"eta_p0": true}}')
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "counts.csv").exists()
 
     def test_reconstruct_missing_and_truncated_csv(self, tmp_path, capsys):
         assert main(["reconstruct", str(tmp_path / "nope.csv")]) == EXIT_DATA

@@ -1,5 +1,7 @@
 """Coincidence simulation against Born-rule and Poisson-statistics oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from phasegate.experiment import (
     usable_fraction,
 )
 from phasegate.gate import gate_unitary
-from phasegate.states import BASIS_OUTCOMES, ket
+from phasegate.states import BASIS_OUTCOMES, STATE_LABELS, ket
 
 
 def born_oracle(psi_label, phi, basis, visibility=1.0):
@@ -63,6 +65,13 @@ class TestOutcomeProbabilities:
             v = rng.uniform(0.7, 1.0)
             probs, _ = outcome_probabilities(label, phi, basis, ideal_noise(visibility=v))
             np.testing.assert_allclose(probs, born_oracle(label, phi, basis, v), atol=1e-12)
+        phis = rng.uniform(-1.0, 7.0, 5)
+        for label in STATE_LABELS:
+            for basis in BASIS_OUTCOMES:
+                probs, rates = outcome_probabilities(label, phis, basis, ideal_noise(visibility=0.9))
+                assert probs.shape == (5, 2, 2) and rates.shape == (5,)
+                for p, phi in zip(probs, phis):
+                    np.testing.assert_allclose(p, born_oracle(label, phi, basis, 0.9), atol=1e-12)
 
     def test_branches_identical_after_correction(self):
         rng = np.random.default_rng(21)
@@ -88,6 +97,15 @@ class TestOutcomeProbabilities:
         )
         assert rate == pytest.approx(expected.sum(), rel=1e-12)
         np.testing.assert_allclose(probs, expected / expected.sum(), atol=1e-12)
+
+    def test_zero_rate_and_unknown_basis(self):
+        probs, rate = outcome_probabilities("+", 1.0, "X", ideal_noise(pair_rate=0.0))
+        np.testing.assert_array_equal(probs, np.full((2, 2), 0.25))
+        assert isinstance(rate, float) and rate == 0.0
+        plan = ExperimentPlan(phases=(1.0,), input_states=("+",), bases=("X",))
+        assert simulate_counts(plan, ideal_noise(pair_rate=0.0, phase_sigma=0.1), 7).total() == 0.0
+        with pytest.raises(ConfigError, match="basis"):
+            outcome_probabilities("+", 1.0, "W", ideal_noise())
 
     def test_total_rate_monotone_in_darks(self):
         rates = []
@@ -253,6 +271,15 @@ class TestCountTableCsv:
         table.to_csv(path)
         np.testing.assert_allclose(CountTable.from_csv(path).counts, table.counts, rtol=1e-11)
 
+    def test_round_trip_bytes_identical(self, tmp_path):
+        counts = np.random.default_rng(19).uniform(0.0, 1000.0, (2, 2, 1, 2, 2, 3))
+        counts[..., 0] = np.round(counts[..., 0])
+        table = CountTable((0.123456789012, 2 * np.pi / 3), ("+", "-i"), ("Y",), counts)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        table.to_csv(first)
+        CountTable.from_csv(first).to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("phase,input_state\n")
@@ -328,6 +355,12 @@ class TestConfigValidation:
             NoiseConfig(pair_rate=-5.0)
         with pytest.raises(ConfigError, match="n_intervals"):
             NoiseConfig(n_intervals=0)
+
+    def test_booleans_are_not_numbers(self):
+        for field in dataclasses.fields(NoiseConfig):
+            for flag in (True, False):
+                with pytest.raises(ConfigError, match=field.name):
+                    NoiseConfig(**{field.name: flag})
 
     def test_plan_defaults(self):
         plan = ExperimentPlan()
