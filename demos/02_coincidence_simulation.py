@@ -49,19 +49,21 @@ print(probs)
 print(f"total detected rate: {rate:.1f} / s  (pair rate {noise.pair_rate:.0f} / s)")
 
 # 4. a full simulated run writes one CSV row per
-#    (phase, state, basis, detector pair, interval)
+#    (phase, state, basis, detector pair, interval),
+#    into a temporary directory that is removed at the end of the block
 plan = ExperimentPlan(phases=(0.0, np.pi / 2, np.pi))
 table = simulate_counts(plan, noise, seed=5)
-out = Path(tempfile.mkdtemp(prefix="phasegate_demo_")) / "counts.csv"
-table.to_csv(out)
-lines = out.read_text().splitlines()
-print(f"\nwrote {out} ({len(lines) - 1} rows)")
-print("\n".join(lines[:5]))
+with tempfile.TemporaryDirectory(prefix="phasegate_demo_") as tmp:
+    out = Path(tmp) / "counts.csv"
+    table.to_csv(out)
+    lines = out.read_text().splitlines()
+    print(f"\nwrote {out.name} ({len(lines) - 1} rows)")
+    print("\n".join(lines[:5]))
 
-# 5. identical (plan, noise, seed) reproduces the file byte for byte
-again = Path(str(out) + ".rerun")
-simulate_counts(plan, noise, seed=5).to_csv(again)
-print(f"\nbyte-identical rerun: {out.read_bytes() == again.read_bytes()}")
+    # 5. identical (plan, noise, seed) reproduces the file byte for byte
+    again = Path(tmp) / "counts_rerun.csv"
+    simulate_counts(plan, noise, seed=5).to_csv(again)
+    print(f"\nbyte-identical rerun: {out.read_bytes() == again.read_bytes()}")
 
 # 6. the usable fraction under ideal conditions is the 1/2 post-selection;
 #    darker, lossier benches sit below it

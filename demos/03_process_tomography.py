@@ -2,10 +2,12 @@
 
 Six input states times three measurement bases give 36 weighted projector
 equations, enough to pin down the 4x4 Choi matrix chi of the gate.  The
-fit climbs the likelihood with the fixed point chi <- N[R chi R] and, where
-that slows down on the PSD boundary, with accelerated projected gradient.
-It stops once the concavity certificate proves the estimate within 1e-6
-nats of the maximum; the result is positive semidefinite by construction.
+fit climbs the likelihood with a few dozen steps of the fixed point
+chi <- N[R chi R], reads off the rank of the optimum, and finishes with
+Newton steps on a factor chi ~ B B^dagger of that rank; accelerated
+projected gradient takes over if Newton stalls.  It stops once the
+concavity certificate proves the estimate within 1e-6 nats of the
+maximum; the result is positive semidefinite by construction.
 """
 
 import numpy as np
@@ -34,8 +36,9 @@ print(f"simulated {table.total():.0f} coincidences at phi = pi/3")
 
 # 2. run the certified fit
 recon = ml_reconstruct_process(settings_for_phase(table, 0))
+rrhor = recon.iterations - recon.newton_iterations - recon.apg_iterations
 print(f"stopped: {recon.stop_reason} after {recon.iterations} iterations "
-      f"({recon.apg_iterations} of them accelerated projected gradient)")
+      f"({rrhor} RrhoR, {recon.newton_iterations} Newton, {recon.apg_iterations} accelerated projected gradient)")
 print(f"certified gap to the maximum: {recon.certified_gap:.2e} nats")
 print(f"log-likelihood: {recon.log_likelihood:.6f}")
 print(f"steps that would have lowered the likelihood: {recon.likelihood_decreases}")

@@ -16,8 +16,7 @@ from phasegate.metrics import format_merit_table, max_feedforward_gap
 from phasegate.pipeline import run_pipeline, write_pipeline_artifacts
 
 # 1. the calibrated preset: realistic loss, darks, visibility and jitter
-cfg = RunConfig(noise=calibrated_noise(), seed=2024,
-                output_dir=tempfile.mkdtemp(prefix="phasegate_demo_"))
+cfg = RunConfig(noise=calibrated_noise(), seed=2024)
 result = run_pipeline(cfg)
 
 # 2. the headline table, one block per analysis
@@ -32,9 +31,11 @@ success = {rs.feed_forward: rs.success_probability for rs in result.reconstructi
 print(f"success probability: {success[True]:.3f} with feed forward, "
       f"{success[False]:.3f} without")
 
-# 4. everything lands on disk for downstream tools
-written = write_pipeline_artifacts(cfg, result)
-print(f"\nwrote {len(written)} files to {cfg.output_dir}:")
-for name in sorted(Path(p).name for p in written)[:8]:
-    print(f"  {name}")
-print("  ...")
+# 4. everything lands on disk for downstream tools; here in a temporary
+#    directory that is removed at the end of the block
+with tempfile.TemporaryDirectory(prefix="phasegate_demo_") as tmp:
+    written = write_pipeline_artifacts(cfg.replace(output_dir=tmp), result)
+    print(f"\nwrote {len(written)} files:")
+    for name in sorted(Path(p).name for p in written)[:8]:
+        print(f"  {name}")
+    print("  ...")

@@ -13,16 +13,21 @@ operators ``E_k = rho_j^T (x) pi_l``.  ``L`` is concave, so its gradient
 ``R = sum_k (n_k / N p_k) E_k`` certifies every iterate: no feasible
 point beats ``chi`` by more than ``gap = N (2 lambda_max(R) - 1)`` nats
 (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops once the
-gap is at most :data:`GAP_TOL`.  Two monotone engines climb ``L``:
+gap is at most :data:`GAP_TOL`.  Three monotone stages climb ``L``
+(see :func:`_ml_fixed_point`):
 
-* the fixed point ``chi <- N[R chi R]`` (RrhoR, ``N`` the trace
-  renormalization), which converges linearly when the optimum is
-  interior or its boundary directions carry a nonzero multiplier.  A step
-  that lowers ``L`` is replaced by a diluted one, ``R_w = (1-w) I + w R``
-  with ``w`` halved until the step is accepted;
+* a short warm-up with the fixed point ``chi <- N[R chi R]`` (RrhoR,
+  ``N`` the trace renormalization).  A step that lowers ``L`` is
+  replaced by a diluted one, ``R_w = (1-w) I + w R`` with ``w`` halved
+  until the step is accepted.  RrhoR finds the support of the optimum
+  fast but then converges only linearly, at the rate set by the
+  multipliers of the boundary directions;
+* damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
+  off the warm-up iterate (after Burer & Monteiro, Math. Program. 95,
+  329, 2003), which has no PSD constraint left and converges
+  quadratically;
 * accelerated projected gradient (APG; Shang, Zhang & Ng, PRA 95,
-  062336, 2017), which takes over when the gap shows that RrhoR has
-  slowed to a sublinear rate (see :func:`_ml_fixed_point`).
+  062336, 2017) for the rare fit that Newton leaves uncertified.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -58,10 +63,13 @@ MAX_ITERS = 10**5
 _DECREASE_TOL = 1e-14
 # RrhoR evaluates its certificate every this many iterations (one eigvalsh each).
 _CHECK_EVERY = 16
-# RrhoR hands over to APG at iteration 128, 256, 512, ... if its certificate fell by less
-# than this factor since half that iteration count (see _ml_fixed_point).
-_FIRST_HANDOVER = 128
-_HANDOVER_FACTOR = 6.0
+# RrhoR steps before Newton on the factor takes over, and the Newton steps before APG does.
+_WARMUP_STEPS = 32
+_FACTOR_STEPS = 12
+# Hessian eigenvalues above this fraction of the largest |eigenvalue| below zero count as flat.
+_CURVATURE_RTOL = 1e-10
+# Newton halves a step that lowers L down to this fraction of it.
+_MIN_DAMPING = 2.0**-30
 # APG declares the iterate stationary after this many steps in a row that do not raise L.
 _STALL_STEPS = 30
 # The certificate's own rounding error, in units of eps * (N + gap).
@@ -188,7 +196,7 @@ class ProcessReconstruction:
     """ML-estimated Choi matrix plus convergence diagnostics."""
 
     choi: np.ndarray
-    #: RrhoR plus APG steps taken.
+    #: RrhoR, Newton and APG steps taken.
     iterations: int
     #: The fit is certified, or as close as rounding allows (see ``stop_reason``).
     converged: bool
@@ -203,7 +211,9 @@ class ProcessReconstruction:
     certified_gap: float
     #: Why the fit stopped: one of :data:`STOP_REASONS`.
     stop_reason: str
-    #: Of ``iterations``, the APG steps taken after RrhoR handed over.
+    #: Of ``iterations``, the Newton steps on the rank-r factor that followed the RrhoR warm-up.
+    newton_iterations: int
+    #: Of ``iterations``, the APG steps taken after Newton left the fit uncertified.
     apg_iterations: int
 
 
@@ -246,6 +256,7 @@ class _Fit(NamedTuple):
     decreases: int
     gap: float
     stop_reason: str
+    newton_iterations: int
     apg_iterations: int
 
 
@@ -272,29 +283,36 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                     tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> _Fit:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    Starts with RrhoR and checks the certificate ``gap`` every
-    ``_CHECK_EVERY`` iterations.  Hand-over rule: at iterations 128, 256,
-    512, ... the iterate goes to APG if the gap fell by less than
-    ``_HANDOVER_FACTOR`` since half that iteration count.  When the
-    optimum has an eigenvalue ``lambda = 0`` whose direction ``v`` has a
-    vanishing multiplier (``trace_target * v^H R v -> 1``), RrhoR scales
-    ``lambda`` by ``(trace_target * v^H R v)^2 = 1 - O(lambda)`` per step,
-    so ``lambda`` falls like ``1/k`` and the gap, quadratic in it, like
-    ``1/k^2``: a factor 4 per doubling, for thousands of iterations.  In
-    the linear regime the factor per doubling is ``exp(a k / 2)`` for a
-    rate ``a``, so it grows with ``k``; a factor 6 separates the two on
-    calibrated and noiseless data with room for the transient (a linear
-    fit sent over needs ``a < 0.028`` per step, i.e. hundreds of RrhoR
-    steps to go, and APG finishes those too).  APG sets boundary
-    eigenvalues to zero exactly in its projection, so it does not slow
-    down there; it is not the first engine because small positive optimal
-    eigenvalues make the likelihood ill-conditioned for a gradient method,
-    which RrhoR's multiplicative update does not feel.
+    Three stages, each stopped by the certificate ``gap``:
+
+    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
+       steps, checking the gap every ``_CHECK_EVERY``.  It finds the
+       support of the optimum but crawls once there: an optimal
+       eigenvalue ``0`` whose direction ``v`` has the multiplier
+       ``mu = 1 - trace_target * v^H R v`` shrinks only by ``(1 - mu)^2``
+       per step (``mu`` is about 0.11 on calibrated data), and like
+       ``1/k`` when ``mu`` vanishes.
+    2. Damped Newton on a factor, ``m = trace_target B B^H / |B|^2`` with
+       ``B`` of shape ``dim x rank``.  The rank drops every eigenvector
+       of the iterate whose multiplier is at least half the largest one,
+       unless it is within the spread of the in-range multipliers.
+       The factor carries no PSD constraint, so Newton converges
+       quadratically to the rank-limited maximum, which is the maximum
+       when the rank is right.  ``L`` does not change under ``B -> c B U``
+       for unitary ``U``, so the Hessian is inverted only on its
+       negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
+    3. Accelerated projected gradient (APG), which finishes any fit that
+       Newton leaves uncertified (a wrong rank, or a non-concave patch of
+       the factorized ``L``).  APG sets boundary eigenvalues to zero in its
+       projection, so it does not slow down there; it is not the first
+       engine because small positive optimal eigenvalues make ``L``
+       ill-conditioned for a gradient method.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
-    ``_DECREASE_TOL``, so the trace is monotone.  ``tol > 0`` adds an
-    early exit once a step changes the iterate by less than ``tol`` in
-    max norm; such a stop is not certified.
+    ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
+    it does, from the truncated start too.  ``tol > 0`` keeps the fit in
+    RrhoR until a step changes the iterate by less than ``tol`` in max
+    norm; such a stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
     n_total = counts.sum()
@@ -346,19 +364,10 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     gap = math.inf
     reason = None
 
-    # RrhoR, until certified or handed over.
+    # RrhoR warm-up; with tol > 0 it runs until the step is below tol.
     eye = np.eye(dim, dtype=complex)
-    checkpoint_gap = math.inf
-    while reason is None and iterations < max_iters:
-        if iterations and iterations % _CHECK_EVERY == 0:
-            gap = certificate(r)
-            reason = settled(gap)
-            if reason:
-                break
-            if iterations & (iterations - 1) == 0 and iterations >= _FIRST_HANDOVER // 2:
-                if iterations >= _FIRST_HANDOVER and gap * _HANDOVER_FACTOR > checkpoint_gap:
-                    break
-                checkpoint_gap = gap
+    warmup = min(max_iters, _WARMUP_STEPS) if tol <= 0.0 else max_iters
+    while reason is None and iterations < warmup:
         iterations += 1
         candidate = renormalize(r @ est @ r)
         p_new = probs(candidate)
@@ -377,12 +386,68 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                     break
                 w *= 0.5
             else:
-                break  # no step length helps RrhoR here; APG takes over
+                break  # no step length helps RrhoR here; the next stage takes over
         step = float(np.max(np.abs(candidate - est))) if tol > 0.0 else math.inf
         est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
         trace.append(ll)
         if step < tol:
             reason = "step"
+        elif iterations % _CHECK_EVERY == 0:
+            gap = certificate(r)
+            reason = settled(gap)
+
+    # Newton on the factor B (dim x rank), over the float view x of C = B^T (row j: column j of B):
+    # L(x) = sum_k f_k log q_k - log |x|^2 + const, with q_k = Tr[B^H E_k B] = x . view(C E_k^T).
+    newton_start = iterations
+    if reason is None and tol <= 0.0:
+        w, v = np.linalg.eigh(est)
+        multipliers = 1.0 - trace_target * np.einsum("ij,ik,kj->j", v.conj(), r, v).real
+        # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
+        # (|min|) is not told apart from them, and the direction of the smallest always stays.
+        dropped = multipliers > max(0.5 * multipliers.max(), abs(multipliers.min()))
+        c_rows = (v[:, ~dropped] * np.sqrt(np.maximum(w[~dropped], 0.0))).T
+        x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
+        ops_t = ops.transpose(0, 2, 1)
+        row = 2 * dim
+        # The truncated start is not accepted by itself: the first step is judged against ll too.
+        while reason is None and iterations < min(max_iters, newton_start + _FACTOR_STEPS):
+            iterations += 1
+            s = float(x @ x)
+            c_rows = x.view(complex).reshape(-1, dim)
+            jac = (c_rows @ ops_t).reshape(len(ops), -1).view(float)  # row k: half the gradient of q_k
+            q = jac @ x
+            a = gradient(q)  # sum_k (f_k / q_k) E_k
+            grad = 2.0 * (c_rows @ a.T).reshape(-1).view(float) - (2.0 / s) * x
+            # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T from the log q_k,
+            # 4 x x^T / s^2 - 2 I / s from -log s.  M_k maps each column b of B to E_k b, so the
+            # first term is, per column, b -> A b on its float view: [[Re A, -Im A], [Im A, Re A]].
+            hess = (4.0 / s**2) * np.outer(x, x) - (2.0 / s) * np.eye(x.size) - 4.0 * (jac.T * (weights / q**2)) @ jac
+            a_real = 2.0 * np.array([[a.real, -a.imag], [a.imag, a.real]]).transpose(2, 0, 3, 1).reshape(row, row)
+            for j in range(0, x.size, row):
+                hess[j : j + row, j : j + row] += a_real
+            curv, basis = np.linalg.eigh(hess)
+            neg = curv < -_CURVATURE_RTOL * abs(curv).max()
+            direction = basis[:, neg] @ ((basis[:, neg].T @ grad) / -curv[neg])
+            alpha = 1.0
+            while alpha >= _MIN_DAMPING:
+                x_new = x + alpha * direction
+                c_new = x_new.view(complex).reshape(-1, dim)
+                candidate = c_new.T @ c_new.conj() * (trace_target / float(x_new @ x_new))
+                p_new = probs(candidate)
+                ll_new = loglik(p_new)
+                if ll_new >= ll - _DECREASE_TOL:
+                    break
+                alpha *= 0.5
+            else:
+                break  # Newton cannot raise L from here; APG goes on from the last accepted point
+            if alpha < 1.0:
+                decreases += 1
+            x = x_new * math.sqrt(trace_target / float(x_new @ x_new))
+            est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
+            trace.append(ll)
+            gap = certificate(r)
+            reason = settled(gap)
+    newton_steps = iterations - newton_start
 
     # APG with monotone acceptance, gradient restart (O'Donoghue & Candes) and a step
     # length backtracked on gradient differences: function values carry rounding at
@@ -439,7 +504,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     converged = reason in ("certified", "rounding")
     est = 0.5 * (est + est.conj().T)
     return _Fit(est, iterations, converged, float(n_total * ll), np.asarray(trace), decreases, gap, reason,
-                iterations - handover)
+                newton_steps, iterations - handover)
 
 
 def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> ProcessReconstruction:
@@ -465,7 +530,8 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
     fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol, max_iters)
     tp_dev = float(np.max(np.abs(partial_trace(fit.est, traced_out=1) - np.eye(2))))
     return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
-                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.apg_iterations)
+                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.newton_iterations,
+                                 fit.apg_iterations)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -644,7 +710,7 @@ def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, *
     Layout: ``phase``, ``iterations``, ``log_likelihood`` (plus any
     extra key-value metadata) lines, then ``dim 4`` and 16 row-major
     ``re im`` entry lines at 15 significant digits.  ``iterations`` is
-    :attr:`ProcessReconstruction.iterations`: RrhoR and APG steps together.
+    :attr:`ProcessReconstruction.iterations`: RrhoR, Newton and APG steps together.
     """
     chi = np.asarray(chi, dtype=complex)
     with open(path, "w", encoding="utf-8", newline="") as f:

@@ -5,7 +5,10 @@ calibrated bench preset, both at seed 1, writes every artefact and
 compares against values recorded from the reference implementation.
 The pins were last recorded when the simulator moved to the closed-form
 detector rates with three array draws per setting, which changed the
-random stream on purpose.
+random stream on purpose.  One ``F_chi`` pin (calibrated, pi/3, feed
+forward) was moved by one unit in its 9th digit when the process fit
+gained its Newton stage: both fits are certified, and their unrounded
+values differ by 1.5e-11.
 
 Tolerances, and why:
 
@@ -65,7 +68,7 @@ PINS = {
         """\
 0,0.974463549,0.982947509,0.971986497,0.966963984,0.945661619,1,0.500292098
 0.523598775598,0.974371982,0.982947673,0.965759755,0.966866734,0.93396809,1,0.500292098
-1.0471975512,0.976421787,0.984335191,0.971489114,0.96954159,0.944908007,1,0.500292098
+1.0471975512,0.976421788,0.984335191,0.971489114,0.96954159,0.944908007,1,0.500292098
 1.57079632679,0.97543472,0.983629876,0.97144492,0.968185544,0.944577572,1,0.500292098
 2.09439510239,0.975826921,0.983968631,0.973166004,0.968849386,0.947836234,1,0.500292098
 2.61799387799,0.976064557,0.984041735,0.971392907,0.968990975,0.944553386,1,0.500292098

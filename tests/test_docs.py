@@ -22,8 +22,12 @@ def test_readme_python_blocks_run(capsys):
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # A fresh temp dir of the demo's own: whatever the demo writes there, it removes.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(scratch))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not list(scratch.iterdir())

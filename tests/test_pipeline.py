@@ -2,9 +2,13 @@
 
 import functools
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasegate import pipeline
 from phasegate.config import RunConfig
@@ -27,6 +31,14 @@ def small_run():
     """One-phase calibrated pipeline shared by the artifact tests."""
     plan = ExperimentPlan(phases=(np.pi / 2,))
     cfg = RunConfig(plan=plan, noise=calibrated_noise(pair_rate=3000.0, n_intervals=4), seed=77)
+    return cfg, run_pipeline(cfg)
+
+
+@pytest.fixture(scope="module")
+def two_phase_run():
+    """Two-phase calibrated pipeline for the CSV row-order property."""
+    plan = ExperimentPlan(phases=(np.pi / 6, 2 * np.pi / 3))
+    cfg = RunConfig(plan=plan, noise=calibrated_noise(pair_rate=3000.0, n_intervals=3), seed=41)
     return cfg, run_pipeline(cfg)
 
 
@@ -55,6 +67,30 @@ class TestReconstructTable:
         again = reconstruct_table(CountTable.from_csv(path), cfg.noise, True)
         np.testing.assert_allclose(again.processes[0].choi, result.reconstructions[0].processes[0].choi,
                                    atol=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_csv_rows_give_the_same_figures(self, two_phase_run, rng):
+        cfg, result = two_phase_run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.csv"
+            result.counts.to_csv(path)
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            rng.shuffle(rows)
+            path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            table = CountTable.from_csv(path)
+        # Phases come back in order of first appearance, written to 12 significant digits.
+        def per_phase(reports):
+            return {(r.feed_forward_active, round(r.phi, 9)): r for r in reports}
+
+        got_rows = per_phase(row for ff in (True, False)
+                             for row in reports_from_reconstruction(reconstruct_table(table, cfg.noise, ff)))
+        expected_rows = per_phase(result.reports)
+        assert got_rows.keys() == expected_rows.keys()
+        for key, expected in expected_rows.items():
+            got = got_rows[key]
+            for name in ("F_chi", "F_av", "success_probability"):
+                assert getattr(got, name) == pytest.approx(getattr(expected, name), abs=1e-9)
 
     def test_feed_forward_false_only(self):
         plan = ExperimentPlan(phases=(0.0,))

@@ -1,11 +1,19 @@
-"""Process ML: certified stop, monotone trace and PSD output on random count tables."""
+"""Process ML: certified stop, monotone trace and PSD output on random count tables; step counts on calibrated data."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from phasegate.experiment import (
+    ExperimentPlan,
+    calibrated_noise,
+    rescale_efficiencies,
+    select_without_feedforward,
+    simulate_counts,
+)
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density, projector
-from phasegate.tomography import GAP_TOL, TomographySetting, ml_reconstruct_process
+from phasegate.tomography import GAP_TOL, TomographySetting, ml_reconstruct_process, settings_for_phase
 
 # The six-input, three-basis design: informationally complete for any counts.
 DESIGN = [(density(s), projector(o)) for s in STATE_LABELS for b in BASIS_LABELS for o in BASIS_OUTCOMES[b]]
@@ -89,3 +97,29 @@ def test_process_fit_certified_monotone_and_physical(counts):
     assert fit.certified_gap <= GAP_TOL
     assert certified_gap(chi, counts) <= GAP_TOL
     assert fit.log_likelihood >= rrhor_reference(counts) - GAP_TOL
+
+
+@pytest.fixture(scope="module")
+def calibrated_phases():
+    """Settings of every phase and analysis of the calibrated seed-1 run, the behaviour-lock dataset."""
+    noise = calibrated_noise()
+    table = simulate_counts(ExperimentPlan(), noise, 1)
+    return [settings_for_phase(rescale_efficiencies(analyzed, noise), pi)
+            for analyzed in (table, select_without_feedforward(table)) for pi in range(len(table.phases))]
+
+
+def test_calibrated_fits_certify_in_tens_of_iterations(calibrated_phases):
+    # These optima sit on the PSD boundary (13 of rank 2, one of rank 3), where RrhoR alone
+    # converges only linearly; Newton on the low-rank factor finishes in a few steps.
+    for phase_settings in calibrated_phases:
+        fit = ml_reconstruct_process(phase_settings)
+        assert fit.stop_reason == "certified" and fit.certified_gap <= GAP_TOL
+        assert fit.iterations <= 64
+        assert fit.apg_iterations == 0
+
+
+def test_update_tol_stops_uncertified_in_rrhor(calibrated_phases):
+    fit = ml_reconstruct_process(calibrated_phases[2], tol=3e-9)
+    assert fit.stop_reason == "step" and not fit.converged
+    assert fit.certified_gap > GAP_TOL
+    assert (fit.newton_iterations, fit.apg_iterations) == (0, 0)
