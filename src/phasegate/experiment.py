@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -47,6 +48,11 @@ DEFAULT_PHASES = tuple(
 )
 
 CSV_HEADER = "phase,input_state,basis,program_detector,data_detector,interval,count"
+_STRING = np.dtypes.StringDType()
+_COMMA = np.array(",", dtype=_STRING)
+#: The label columns of a count CSV after the phase, with their allowed values.
+_LABELS = (("input_state", STATE_LABELS), ("basis", BASIS_LABELS),
+           ("program_detector", PROGRAM_DETECTORS), ("data_detector", DATA_DETECTORS))
 
 # Sub-seed tag so different pipeline stages never share a random stream.
 _STAGE_SIMULATE = zlib.crc32(b"simulate")
@@ -219,75 +225,138 @@ class CountTable:
 
     @classmethod
     def from_csv(cls, path) -> "CountTable":
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n")
-            if header != CSV_HEADER:
-                raise DataFormatError(f"bad count CSV header: expected {CSV_HEADER!r}, got {header!r}")
-            phases: list[float] = []
-            # Spelling as written -> phase index; spellings of one canonical phase share an index.
-            phase_keys: dict[str, int] = {}
-            canonical_index: dict[float, int] = {}
-            states_seen: list[str] = []
-            bases_seen: list[str] = []
-            records: dict[tuple, float] = {}
-            for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 7:
-                    raise DataFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-                phase_s, state, basis, det_p, det_d, interval_s, count_s = parts
-                if phase_s not in phase_keys:
-                    try:
-                        phi = float(phase_s)
-                    except ValueError:
-                        phi = float("nan")
-                    if not np.isfinite(phi):
-                        raise DataFormatError(f"line {lineno}: bad phase {phase_s!r}")
-                    phi = canonical_phase(phi)
-                    if phi not in canonical_index:
-                        canonical_index[phi] = len(phases)
-                        phases.append(phi)
-                    phase_keys[phase_s] = canonical_index[phi]
-                if state not in STATE_LABELS:
-                    raise DataFormatError(f"line {lineno}: unknown input_state {state!r}")
-                if basis not in BASIS_LABELS:
-                    raise DataFormatError(f"line {lineno}: unknown basis {basis!r}")
-                if det_p not in PROGRAM_DETECTORS:
-                    raise DataFormatError(f"line {lineno}: unknown program_detector {det_p!r}")
-                if det_d not in DATA_DETECTORS:
-                    raise DataFormatError(f"line {lineno}: unknown data_detector {det_d!r}")
-                if state not in states_seen:
-                    states_seen.append(state)
-                if basis not in bases_seen:
-                    bases_seen.append(basis)
-                try:
-                    interval = int(interval_s)
-                    count = float(count_s)
-                except ValueError:
-                    raise DataFormatError(f"line {lineno}: bad interval/count {interval_s!r},{count_s!r}") from None
-                if interval < 0:
-                    raise DataFormatError(f"line {lineno}: negative interval {interval}")
-                if not np.isfinite(count) or count < 0:
-                    raise DataFormatError(f"line {lineno}: bad count {count_s!r}")
-                key = (phase_keys[phase_s], state, basis, det_p, det_d, interval)
-                if key in records:
-                    raise DataFormatError(f"line {lineno}: duplicate record for {key}")
-                records[key] = count
-        if not records:
+        """Read a UTF-8 count CSV with the :data:`CSV_HEADER` columns.
+
+        Rows may come in any order.  Blank lines are skipped, and CRLF or
+        CR line endings read as LF.  Spellings of one phase modulo 2*pi
+        (``0``, ``0.0``, ``6.283185307179586``) merge into one phase.
+        Phases, input states and bases keep the order in which they first
+        appear.  Intervals and counts are read as Python's ``int`` and
+        ``float`` read them.  Each (phase, state, basis, detector pair)
+        needs exactly one record for every interval ``0 .. n-1``.
+
+        Raises :class:`DataFormatError` on a file that is not UTF-8, a
+        bad header, no records or missing records.  A faulty row is
+        reported as the first faulty line, by its number.  Within one
+        line the checks run in this order: field count, phase, labels,
+        interval/count syntax, negative interval, bad count, interval
+        beyond int64, duplicate key.
+        """
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"count CSV is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        del raw
+        if "\r" in text:  # universal newlines, as text-mode reading applies them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.rstrip("\n").split("\n")
+        del text
+        if lines[0] != CSV_HEADER:
+            raise DataFormatError(f"bad count CSV header: expected {CSV_HEADER!r}, got {lines[0]!r}")
+        body = np.array(lines[1:], dtype=_STRING)
+        del lines
+        row_line = np.flatnonzero(body != "") + 2  # line number of each record
+        if len(row_line) < len(body):
+            body = body[row_line - 2]
+        if len(body) == 0:
             raise DataFormatError("count CSV contains no records")
-        n_intervals = 1 + max(k[5] for k in records)
-        shape = (len(phases), len(states_seen), len(bases_seen), 2, 2, n_intervals)
-        counts = np.full(shape, np.nan)
-        s_idx = {s: i for i, s in enumerate(states_seen)}
-        b_idx = {b: i for i, b in enumerate(bases_seen)}
-        for (pi, state, basis, det_p, det_d, t), c in records.items():
-            counts[pi, s_idx[state], b_idx[basis], PROGRAM_DETECTORS.index(det_p), DATA_DETECTORS.index(det_d), t] = c
-        if np.any(np.isnan(counts)):
-            missing = int(np.isnan(counts).sum())
+        head, _, count_s = np.strings.rpartition(body, _COMMA)
+        prefix, _, interval_s = np.strings.rpartition(head, _COMMA)
+        del head
+
+        # Code each row by its first five fields; runs of equal prefixes are looked up once.
+        runs = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
+        codes: dict[str, int] = {}
+        run_code = [codes.setdefault(p, len(codes)) for p in prefix[runs].tolist()]
+        code = np.repeat(run_code, np.diff(runs, append=len(prefix)))
+        del prefix, runs, run_code
+
+        # Validate each distinct prefix once, in order of first appearance.
+        phase_index: dict[str, int] = {}  # spelling -> index; spellings of one canonical phase share it
+        canonical: dict[float, int] = {}
+        states: list[str] = []
+        bases: list[str] = []
+        index: list[tuple] = []  # (phase, state, basis, det_p, det_d) indices of each prefix
+        fault = None
+        for u, p in enumerate(codes):
+            fields = p.split(",")
+            if len(fields) != 5:
+                fault = f"expected 7 fields, got {str(body[np.argmax(code == u)]).count(',') + 1}"
+                break
+            phase_s, state, basis, det_p, det_d = fields
+            if phase_s not in phase_index:
+                try:
+                    phi = float(phase_s)
+                except ValueError:
+                    phi = float("nan")
+                if not math.isfinite(phi):
+                    fault = f"bad phase {phase_s!r}"
+                    break
+                phase_index[phase_s] = canonical.setdefault(canonical_phase(phi), len(canonical))
+            fault = next((f"unknown {name} {v!r}" for v, (name, ok) in zip(fields[1:], _LABELS) if v not in ok), None)
+            if fault:
+                break
+            if state not in states:
+                states.append(state)
+            if basis not in bases:
+                bases.append(basis)
+            index.append((phase_index[phase_s], states.index(state), bases.index(basis),
+                          PROGRAM_DETECTORS.index(det_p), DATA_DETECTORS.index(det_d)))
+        del body
+        # Rows before `end` passed every check so far; each later check can only move `end` earlier.
+        end = int(np.argmax(code == u)) if fault else len(code)
+        code, interval_s, count_s = code[:end], interval_s[:end], count_s[:end]
+        shape = (len(canonical), len(states), len(bases), 2, 2)
+        setting = np.ravel_multi_index(np.array(index, dtype=np.intp).reshape(-1, 5).T, shape)[code]
+
+        try:
+            interval = interval_s.astype(np.int64)
+            count = count_s.astype(np.float64)
+            good = (interval >= 0) & np.isfinite(count) & (count >= 0)
+            bad = end if good.all() else int(np.argmin(good))
+        except (ValueError, OverflowError):
+            # Diagnosis only: name the first row that a row check rejects.
+            pairs = zip(interval_s.tolist(), count_s.tolist())
+            bad = next(r for r, pair in enumerate(pairs) if _row_fault(*pair))
+            interval = interval_s[:bad].astype(np.int64)
+        if bad < end:
+            end, fault = bad, _row_fault(interval_s[bad], count_s[bad])
+            interval, setting = interval[:end], setting[:end]
+
+        order = np.lexsort((interval, setting))
+        repeats = order[1:][(np.diff(setting[order]) == 0) & (np.diff(interval[order]) == 0)]
+        if len(repeats):
+            end = int(repeats.min())
+            pi, si, bi, dp, dd = index[code[end]]
+            key = (pi, states[si], bases[bi], PROGRAM_DETECTORS[dp], DATA_DETECTORS[dd], int(interval[end]))
+            fault = f"duplicate record for {key}"
+        if fault:
+            raise DataFormatError(f"line {row_line[end]}: {fault}")
+
+        n_intervals = int(interval.max()) + 1
+        missing = math.prod(shape) * n_intervals - len(interval)
+        if missing:
             raise DataFormatError(f"count CSV is missing {missing} records (index coverage incomplete)")
-        return cls(tuple(phases), tuple(states_seen), tuple(bases_seen), counts)
+        counts = np.empty(len(interval))
+        counts[setting * n_intervals + interval] = count
+        return cls(tuple(canonical), tuple(states), tuple(bases), counts.reshape(shape + (n_intervals,)))
+
+
+def _row_fault(interval_s: str, count_s: str) -> str | None:
+    """What the row checks of :meth:`CountTable.from_csv` reject first in one record, if anything."""
+    try:
+        interval, count = int(interval_s), float(count_s)
+    except ValueError:
+        return f"bad interval/count {interval_s!r},{count_s!r}"
+    if interval < 0:
+        return f"negative interval {interval}"
+    if not math.isfinite(count) or count < 0:
+        return f"bad count {count_s!r}"
+    if interval > np.iinfo(np.int64).max:
+        return f"interval {interval} out of range"
+    return None
 
 
 def _format_count(c: float) -> str:

@@ -181,6 +181,13 @@ class TestCli:
         assert main(["reconstruct", str(short), "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("record", [b"0,0,Z,D_p0,D_d0,1000000000000000000,5", b"0,0,Z,D_p0,D_d0,0,5\xff"])
+    def test_reconstruct_rejects_far_interval_and_non_utf8(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"phase,input_state,basis,program_detector,data_detector,interval,count\n" + record + b"\n")
+        assert main(["reconstruct", str(path), "--out", str(tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_report_on_empty_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
         assert "choi" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Coincidence simulation against Born-rule and Poisson-statistics oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from phasegate.errors import ConfigError, DataFormatError
 from phasegate.experiment import (
     CSV_HEADER,
+    DATA_DETECTORS,
+    PROGRAM_DETECTORS,
     CountTable,
     DEFAULT_PHASES,
     ExperimentPlan,
@@ -20,8 +23,8 @@ from phasegate.experiment import (
     simulate_counts,
     usable_fraction,
 )
-from phasegate.gate import gate_unitary
-from phasegate.states import BASIS_OUTCOMES, STATE_LABELS, ket
+from phasegate.gate import canonical_phase, gate_unitary
+from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, ket
 
 
 def born_oracle(psi_label, phi, basis, visibility=1.0):
@@ -37,6 +40,56 @@ def born_oracle(psi_label, phi, basis, visibility=1.0):
     rho[1, 0] *= visibility
     q = np.array([np.vdot(ket(lbl), rho @ ket(lbl)).real for lbl in BASIS_OUTCOMES[basis]])
     return 0.5 * np.vstack([q, q])
+
+
+def row_by_row(path):
+    """Read a count CSV one record at a time: the oracle for the columnar parse.
+
+    Returns a CountTable, or the DataFormatError message that the file
+    deserves.  Expects a good header and no interval beyond 10**6.
+    """
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    phases, states, bases, records = {}, {}, {}, {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            return f"line {lineno}: expected 7 fields, got {len(fields)}"
+        try:
+            phi = canonical_phase(float(fields[0]))
+        except ValueError:
+            phi = math.nan
+        if not math.isfinite(phi):
+            return f"line {lineno}: bad phase {fields[0]!r}"
+        phase = phases.setdefault(phi, len(phases))
+        allowed_labels = (STATE_LABELS, BASIS_LABELS, PROGRAM_DETECTORS, DATA_DETECTORS)
+        names = ("input_state", "basis", "program_detector", "data_detector")
+        for value, allowed, name in zip(fields[1:5], allowed_labels, names):
+            if value not in allowed:
+                return f"line {lineno}: unknown {name} {value!r}"
+        interval_s, count_s = fields[5:]
+        try:
+            interval, count = int(interval_s), float(count_s)
+        except ValueError:
+            return f"line {lineno}: bad interval/count {interval_s!r},{count_s!r}"
+        if interval < 0:
+            return f"line {lineno}: negative interval {interval}"
+        if not math.isfinite(count) or count < 0:
+            return f"line {lineno}: bad count {count_s!r}"
+        key = (phase, *fields[1:5], interval)
+        if key in records:
+            return f"line {lineno}: duplicate record for {key}"
+        records[key] = count
+        states.setdefault(fields[1], len(states))
+        bases.setdefault(fields[2], len(bases))
+    counts = np.full((len(phases), len(states), len(bases), 2, 2, 1 + max(k[5] for k in records)), np.nan)
+    for (p, s, b, dp, dd, t), c in records.items():
+        counts[p, states[s], bases[b], PROGRAM_DETECTORS.index(dp), DATA_DETECTORS.index(dd), t] = c
+    if np.isnan(counts).any():
+        return f"count CSV is missing {np.isnan(counts).sum()} records (index coverage incomplete)"
+    return CountTable(tuple(phases), tuple(states), tuple(bases), counts)
 
 
 class TestOutcomeProbabilities:
@@ -342,6 +395,124 @@ class TestCountTableCsv:
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n0,0,Z,D_p0,D_d0,0,-3\n")
         with pytest.raises(DataFormatError, match="count"):
+            CountTable.from_csv(path)
+
+    @staticmethod
+    def _rejection(tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            CountTable.from_csv(path)
+        return str(info.value)
+
+    GOOD = "0,0,Z,D_p0,D_d0,0,5"
+    LABEL_FAULT = "0,q,Z,D_p0,D_d0,1,5"
+    COUNT_FAULT = "0,0,Z,D_p0,D_d0,2,-3"
+
+    def test_earlier_of_two_faulty_lines_is_reported(self, tmp_path):
+        msg = self._rejection(tmp_path, [self.GOOD, self.LABEL_FAULT, self.COUNT_FAULT])
+        assert msg == "line 3: unknown input_state 'q'"
+        msg = self._rejection(tmp_path, [self.GOOD, self.COUNT_FAULT, self.LABEL_FAULT])
+        assert msg == "line 3: bad count '-3'"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,q,Z,D_p0,D_d0,x,5", "bad phase 'nan'"),
+            ("0,q,W,D_p0,D_d0,x,5", "unknown input_state 'q'"),
+            ("0,0,W,D_p9,D_d0,x,5", "unknown basis 'W'"),
+            ("0,0,Z,D_p9,D_d9,x,5", "unknown program_detector 'D_p9'"),
+            ("0,0,Z,D_p0,D_d9,x,5", "unknown data_detector 'D_d9'"),
+            ("0,0,Z,D_p0,D_d0,x,-3", "bad interval/count 'x','-3'"),
+            ("0,0,Z,D_p0,D_d0,-1,-3", "negative interval -1"),
+            ("0,0,Z,D_p0,D_d0,0,inf", "bad count 'inf'"),
+        ],
+    )
+    def test_check_order_within_one_line(self, tmp_path, row, message):
+        # The second row also repeats the first row's key where its fields parse.
+        assert self._rejection(tmp_path, [self.GOOD, row]) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("row, n", [("0,0,Z,D_p0,D_d0,5", 6), ("0,0,Z,D_p0,D_d0,0,5,7", 8), (" ", 1)])
+    def test_field_count_named(self, tmp_path, row, n):
+        assert self._rejection(tmp_path, [self.GOOD, row]) == f"line 3: expected 7 fields, got {n}"
+
+    def test_crlf_and_blank_lines_parse_to_the_same_table(self, tmp_path):
+        plan = ExperimentPlan(phases=(0.0, 1.0), input_states=("0", "+i"), bases=("Z", "Y"))
+        table = simulate_counts(plan, ideal_noise(n_intervals=2), 23)
+        path = tmp_path / "counts.csv"
+        table.to_csv(path)
+        lines = path.read_text().splitlines()
+        spaced = [lines[0]] + [x for ln in lines[1:] for x in ("", ln)] + ["", ""]
+        for newline in ("\r\n", "\r"):
+            path.write_bytes((newline.join(spaced) + newline).encode())
+            back = CountTable.from_csv(path)
+            assert (back.phases, back.input_states, back.bases) == (table.phases, table.input_states, table.bases)
+            np.testing.assert_array_equal(back.counts, table.counts)
+
+    def test_duplicate_across_phase_spellings_names_the_key(self, tmp_path):
+        rows = ["1,0,Z,D_p0,D_d0,0,5", "0,0,Z,D_p0,D_d0,0,5", repr(2 * np.pi) + ",0,Z,D_p0,D_d0,0,6"]
+        assert self._rejection(tmp_path, rows) == "line 4: duplicate record for (1, '0', 'Z', 'D_p0', 'D_d0', 0)"
+
+    def test_matches_row_by_row_reference(self, tmp_path):
+        rng = np.random.default_rng(29)
+        junk = ["", "x", "-1", "0", "nan", "inf", "+3", " 4", "1_0", "2.5", "\u0663", "1e400", "q", "D_p1", "Y",
+                "6.283185307179586"]
+        path = tmp_path / "table.csv"
+        rejected = 0
+        for trial in range(200):
+            n_phases, n_states, n_bases = rng.integers(1, 3, size=3)
+            plan = ExperimentPlan(phases=(0.0, 1.0)[:n_phases], input_states=("+i", "0")[:n_states],
+                                  bases=("Y", "Z")[:n_bases])
+            simulate_counts(plan, ideal_noise(n_intervals=int(rng.integers(1, 3)), pair_rate=30.0), trial).to_csv(path)
+            header, *rows = path.read_text().splitlines()
+            rng.shuffle(rows)
+            for _ in range(rng.integers(0, 3)):
+                i = int(rng.integers(len(rows)))
+                fields = rows[i].split(",")
+                kind = rng.integers(4)
+                if kind == 0:
+                    fields[rng.integers(len(fields))] = str(rng.choice(junk))
+                elif kind == 1:
+                    fields = fields[:-1] if rng.integers(2) else fields + ["1"]
+                elif kind == 2:
+                    rows.insert(int(rng.integers(len(rows) + 1)), rows[i])
+                if kind == 3:
+                    del rows[i]
+                else:
+                    rows[i] = ",".join(fields)
+            rows.insert(int(rng.integers(len(rows) + 1)), "")
+            path.write_bytes(("\r\n".join([header] + rows) + "\r\n").encode())
+            expected = row_by_row(path)
+            try:
+                got = CountTable.from_csv(path)
+            except DataFormatError as exc:
+                got = str(exc)
+                rejected += 1
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert got.phases == expected.phases
+                assert (got.input_states, got.bases) == (expected.input_states, expected.bases)
+                assert got.counts.tobytes() == expected.counts.tobytes()
+        assert 50 < rejected < 150
+
+    def test_interval_far_beyond_the_records_is_missing_coverage(self, tmp_path):
+        path = tmp_path / "far.csv"
+        path.write_text(CSV_HEADER + "\n0,0,Z,D_p0,D_d0,1000000000000000000,5\n")
+        with pytest.raises(DataFormatError, match="missing 4000000000000000003 records"):
+            CountTable.from_csv(path)
+
+    def test_interval_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(CSV_HEADER + f"\n0,0,Z,D_p0,D_d0,0,5\n0,0,Z,D_p0,D_d0,{2**63},5\n")
+        with pytest.raises(DataFormatError, match=f"line 3: interval {2**63} out of range"):
+            CountTable.from_csv(path)
+
+    def test_non_utf8_file_rejected_with_byte_offset(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        head = (CSV_HEADER + "\n0,0,Z,D_p0,D_d0,0,5").encode()
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(DataFormatError, match=f"not UTF-8.*byte {len(head)}"):
             CountTable.from_csv(path)
 
 
