@@ -8,7 +8,9 @@ rank-1 Choi matrix ``chi_id = |w><w|`` with ``|w> = |00> + e^{i phi}
 
 and reconstructed output states with the usual pure-target fidelity
 ``<psi| rho |psi>`` and purity ``Tr[rho^2]``.  A merit report aggregates
-these over the six cardinal input states for one phase setting.
+these over the six cardinal input states for one phase setting.  The
+inputs are taken as valid: reconstructions are PSD by construction, and
+matrix files are checked where they load (:func:`phasegate.tomography.load_choi`).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import numpy as np
 
 from .errors import DataFormatError
 from .gate import canonical_phase, ideal_output
-from .linalg import eig_hermitian
 from .states import STATE_LABELS, as_state, ket
-from .tomography import require_density_matrix
+from .tomography import CHOI_DIM, require_hermitian
 
 #: chi_id must be rank 1; the second eigenvalue may be at most this
 #: fraction of the trace.
@@ -48,7 +49,7 @@ def process_fidelity(chi, chi_id) -> float:
     tr_id = float(np.trace(chi_id).real)
     if tr <= 0.0 or tr_id <= 0.0:
         raise ValueError(f"process fidelity needs positive traces, got {tr:.3e} and {tr_id:.3e}")
-    w, _ = eig_hermitian(chi_id)
+    w = np.linalg.eigvalsh(require_hermitian(chi_id, CHOI_DIM, "chi_id"))
     if w[-2] > RANK1_RTOL * tr_id:
         raise ValueError(f"chi_id is not rank 1 (second eigenvalue {w[-2]:.3e} vs trace {tr_id:.3e})")
     return float(np.trace(chi @ chi_id).real) / (tr * tr_id)
@@ -56,14 +57,13 @@ def process_fidelity(chi, chi_id) -> float:
 
 def state_fidelity(rho, psi_target) -> float:
     """``<psi|rho|psi>`` for a pure target given as label or amplitude pair."""
-    rho = require_density_matrix(rho)
     psi = as_state(psi_target)
-    return float(np.real(np.vdot(psi, rho @ psi)))
+    return float(np.real(np.vdot(psi, np.asarray(rho) @ psi)))
 
 
 def purity(rho) -> float:
     """``Tr[rho^2]``; 1 for pure states, 1/2 for the maximally mixed qubit."""
-    rho = require_density_matrix(rho)
+    rho = np.asarray(rho)
     return float(np.trace(rho @ rho).real)
 
 

@@ -235,6 +235,8 @@ def collect_reports(out_dir: str):
 
     Returns ``(reports, warnings)``.  Groups files by (variant, phase
     index); every group needs its Choi matrix and all six output states.
+    Each matrix is checked as it loads (Hermitian, PSD, trace), so a
+    non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from file metadata when present, else the
     nominal 1/2 or 1/4.
     """

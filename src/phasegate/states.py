@@ -68,7 +68,3 @@ def projector(label: str) -> np.ndarray:
     """Measurement projector onto one of the six cardinal states."""
     return density(label)
 
-
-def overlap_magnitude(a, b) -> float:
-    """``|<a|b>|``; equals 1 iff the two pure states agree up to global phase."""
-    return float(abs(np.vdot(as_state(a), as_state(b))))

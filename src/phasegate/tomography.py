@@ -35,6 +35,12 @@ splits into one term per basis, so its maximum over the Bloch ball is
 the linear-inversion point when that lies inside the ball, and
 otherwise a point on the sphere fixed by one Lagrange multiplier
 (:func:`ml_reconstruct_state`).
+
+Matrices are plain ``np.ndarray`` values.  A two-qubit index is the
+row-major composite ``(i_in, i_out)`` that ``np.kron`` produces, so
+``np.kron(A, B)[2*i+k, 2*j+l] = A[i, j] * B[k, l]``.  Matrices from outside
+(user-built settings, files) are checked once, where they enter; the
+reconstructions are PSD by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DataFormatError
-from .linalg import eig_hermitian, is_hermitian, partial_trace, tensor
 from .states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density
 
 CHOI_DIM = 4
@@ -78,45 +83,35 @@ _ROUNDING_ULPS = 64.0
 _PSD_ATOL = 1e-10
 
 
-def require_choi(m, atol: float = _PSD_ATOL) -> np.ndarray:
-    """Validate a 4x4 Choi matrix: Hermitian, PSD within ``-atol``, positive trace."""
-    chi = np.asarray(m, dtype=complex)
-    if chi.shape != (CHOI_DIM, CHOI_DIM):
-        raise ValueError(f"Choi matrix must be 4x4, got shape {chi.shape}")
-    if not is_hermitian(chi, atol):
-        raise ValueError("Choi matrix is not Hermitian within tolerance")
-    w, _ = eig_hermitian(chi, atol)
-    if w[0] < -atol:
-        raise ValueError(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(chi).real)
-    if tr <= 0.0:
-        raise ValueError(f"Choi matrix trace must be positive, got {tr:.3e}")
-    return chi
+def require_hermitian(m, dim: int, what: str) -> np.ndarray:
+    """Coerce to a complex ``dim x dim`` matrix; reject one farther than ``_PSD_ATOL`` from Hermitian."""
+    a = np.asarray(m, dtype=complex)
+    if a.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got shape {a.shape}")
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if not dev <= _PSD_ATOL:  # NaN entries fail too
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e} > {_PSD_ATOL:.0e})")
+    return a
 
 
-def require_density_matrix(m, atol: float = _PSD_ATOL) -> np.ndarray:
-    """Validate a qubit density matrix: Hermitian, PSD, unit trace."""
-    rho = np.asarray(m, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not is_hermitian(rho, atol):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    w, _ = eig_hermitian(rho, atol)
-    if w[0] < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-8:
-        raise ValueError(f"density matrix trace must be 1, got {np.trace(rho).real!r}")
-    return rho
+def require_psd(m, dim: int, what: str, trace: float | None = None) -> np.ndarray:
+    """Validate a Hermitian PSD ``dim x dim`` matrix with the given trace (any positive one if None)."""
+    a = require_hermitian(m, dim, what)
+    low = float(np.linalg.eigvalsh(a)[0])
+    if low < -_PSD_ATOL:
+        raise ValueError(f"{what} has negative eigenvalue {low:.3e}")
+    tr = float(np.trace(a).real)
+    if trace is None and tr <= 0.0:
+        raise ValueError(f"{what} trace must be positive, got {tr:.9g}")
+    if trace is not None and abs(tr - trace) > 1e-8:
+        raise ValueError(f"{what} trace must be {trace:g}, got {tr:.9g}")
+    return a
 
 
-def require_projector(m, atol: float = _PSD_ATOL) -> np.ndarray:
+def require_projector(m) -> np.ndarray:
     """Validate a 2x2 Hermitian projector (idempotent within tolerance)."""
-    pi = np.asarray(m, dtype=complex)
-    if pi.shape != (2, 2):
-        raise ValueError(f"projector must be 2x2, got shape {pi.shape}")
-    if not is_hermitian(pi, atol):
-        raise ValueError("projector is not Hermitian within tolerance")
-    if np.max(np.abs(pi @ pi - pi)) > atol:
+    pi = require_hermitian(m, 2, "projector")
+    if np.max(np.abs(pi @ pi - pi)) > _PSD_ATOL:
         raise ValueError("projector is not idempotent within tolerance")
     return pi
 
@@ -130,12 +125,12 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 def _cardinal_design():
     """The six cardinal states and the 36 operators ``rho^T (x) pi`` they form.
 
-    Validated once, on first use rather than at import, and read-only.
-    Each state serves as input state and as output projector; settings
-    built from these arrays share the operators and skip re-validation.
+    Built once, on first use rather than at import, and read-only.  Each
+    state serves as input state and as output projector; settings built
+    from these arrays share the operators and skip validation.
     """
-    states = {label: _read_only(require_projector(require_density_matrix(density(label)))) for label in STATE_LABELS}
-    operators = {(id(a), id(b)): _read_only(tensor(a.T, b)) for a in states.values() for b in states.values()}
+    states = {label: _read_only(density(label)) for label in STATE_LABELS}
+    operators = {(id(a), id(b)): _read_only(np.kron(a.T, b)) for a in states.values() for b in states.values()}
     return states, operators
 
 
@@ -152,9 +147,9 @@ class TomographySetting:
     def __post_init__(self):
         operator = _cardinal_design()[1].get((id(self.rho_in), id(self.pi_out)))
         if operator is None:
-            object.__setattr__(self, "rho_in", require_density_matrix(self.rho_in))
+            object.__setattr__(self, "rho_in", require_psd(self.rho_in, 2, "density matrix", trace=1.0))
             object.__setattr__(self, "pi_out", require_projector(self.pi_out))
-            operator = tensor(self.rho_in.T, self.pi_out)
+            operator = np.kron(self.rho_in.T, self.pi_out)
         if not (np.isfinite(self.count) and self.count >= 0.0):
             raise ValueError(f"count must be finite and non-negative, got {self.count!r}")
         object.__setattr__(self, "operator", operator)
@@ -167,8 +162,11 @@ def apply_map(chi, rho_in) -> tuple[np.ndarray, float]:
     probability for this input when ``chi`` is trace-normalized to 2.
     """
     chi = np.asarray(chi, dtype=complex)
-    rho = require_density_matrix(rho_in)
-    raw = partial_trace(chi @ tensor(rho.T, np.eye(2, dtype=complex)), traced_out=0)
+    if chi.shape != (CHOI_DIM, CHOI_DIM):
+        raise ValueError(f"Choi matrix must be 4x4, got shape {chi.shape}")
+    rho = require_psd(rho_in, 2, "density matrix", trace=1.0)
+    # Tr_in[chi (rho^T (x) I)]_{kl} = sum_ij chi_{(i,k),(j,l)} rho_{ij}
+    raw = np.einsum("ikjl,ij->kl", chi.reshape(2, 2, 2, 2), rho)
     weight = float(np.trace(raw).real)
     if weight <= 1e-14:
         raise ValueError(f"map annihilates this input (pre-normalization trace {weight:.3e})")
@@ -528,7 +526,8 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
             f"measurement design is rank-deficient: spans {rank} of {CHOI_DIM * CHOI_DIM} dimensions"
         )
     fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol, max_iters)
-    tp_dev = float(np.max(np.abs(partial_trace(fit.est, traced_out=1) - np.eye(2))))
+    tr_out = np.einsum("ikjk->ij", fit.est.reshape(2, 2, 2, 2))
+    tp_dev = float(np.max(np.abs(tr_out - np.eye(2))))
     return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
                                  fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.newton_iterations,
                                  fit.apg_iterations)
@@ -730,9 +729,9 @@ def load_choi(path):
 
     Returns ``(chi, meta)``; ``meta`` maps metadata keys to their raw
     string values and always contains phase, iterations and
-    log_likelihood.
+    log_likelihood.  ``chi`` must be Hermitian and PSD with positive trace.
     """
-    meta, m = _load_matrix_file(path, CHOI_DIM, ("phase", "iterations", "log_likelihood"))
+    meta, m = _load_matrix_file(path, CHOI_DIM, ("phase", "iterations", "log_likelihood"), "Choi matrix", None)
     return m, meta
 
 
@@ -751,12 +750,12 @@ def save_state(path, rho, phase: float, input_state: str, **extra) -> None:
 
 
 def load_state(path):
-    """Read a file written by :func:`save_state`; returns ``(rho, meta)``."""
-    meta, m = _load_matrix_file(path, 2, ("phase", "input_state"))
+    """Read a file written by :func:`save_state`; returns ``(rho, meta)`` for a density matrix ``rho``."""
+    meta, m = _load_matrix_file(path, 2, ("phase", "input_state"), "density matrix", 1.0)
     return m, meta
 
 
-def _load_matrix_file(path, dim: int, keys):
+def _load_matrix_file(path, dim: int, keys, what: str, trace: float | None):
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     meta = {}
@@ -771,13 +770,16 @@ def _load_matrix_file(path, dim: int, keys):
         declared = int(lines[i].split()[1])
         if declared != dim:
             raise DataFormatError(f"{path}: expected dim {dim}, got {declared}")
-        entries = lines[i + 1 : i + 1 + dim * dim]
+        entries = lines[i + 1 :]
         if len(entries) != dim * dim:
-            raise DataFormatError(f"{path}: expected {dim * dim} entries, found {len(entries)}")
+            raise DataFormatError(f"{path}: expected {dim * dim} entries after 'dim', found {len(entries)}")
         values = [complex(float(a), float(b)) for a, b in (e.split() for e in entries)]
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"{path}: malformed matrix file ({exc})") from exc
     for k in keys:
         if k not in meta:
             raise DataFormatError(f"{path}: missing metadata key {k!r}")
-    return meta, np.asarray(values, dtype=complex).reshape(dim, dim)
+    try:
+        return meta, require_psd(np.reshape(values, (dim, dim)), dim, what, trace)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -9,7 +9,10 @@ from phasegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
 from phasegate.experiment import DEFAULT_PHASES
-from phasegate.metrics import read_merit_csv
+from phasegate.metrics import ideal_choi, read_merit_csv
+from phasegate.pipeline import STATE_FILE_LABELS
+from phasegate.states import STATE_LABELS, density
+from phasegate.tomography import save_choi, save_state
 
 
 class TestRunConfig:
@@ -202,3 +205,39 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == EXIT_OK
         assert "differ" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def ideal_files(tmp_path):
+    """Choi and output-state files of the ideal gate at phi = 0, as ``report`` reads them."""
+    save_choi(tmp_path / "choi_ff_p00.txt", ideal_choi(0.0), 0.0, 1, 0.0)
+    for label in STATE_LABELS:
+        save_state(tmp_path / f"state_ff_p00_{STATE_FILE_LABELS[label]}.txt", density(label), 0.0, label)
+    return tmp_path
+
+
+class TestReportRejectsNonPhysicalFiles:
+    def test_ideal_files_pass(self, ideal_files, capsys):
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_OK
+        assert "F_chi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, matrix, fragment",
+        [
+            ("state_ff_p00_plus.txt", 2 * density("+"), "density matrix trace must be 1, got 2"),
+            # F_chi = 2: diag(1, 0, 0, 1) plus 3 on the |00><11| corners.
+            ("choi_ff_p00.txt", [[1, 0, 0, 3], [0, 0, 0, 0], [0, 0, 0, 0], [3, 0, 0, 1]],
+             "Choi matrix has negative eigenvalue -2.000e+00"),
+            ("choi_ff_p00.txt", np.diag([1.2, 0.2, -0.2, 0.8]), "Choi matrix has negative eigenvalue -2.000e-01"),
+        ],
+        ids=["state_trace_2", "choi_F_chi_above_1", "choi_not_psd"],
+    )
+    def test_exits_3_naming_the_file(self, ideal_files, capsys, name, matrix, fragment):
+        path = ideal_files / name
+        if name.startswith("choi"):
+            save_choi(path, matrix, 0.0, 1, 0.0)
+        else:
+            save_state(path, matrix, 0.0, "+")
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()

@@ -1,15 +1,30 @@
+"""Linear-algebra conventions of phasegate.tomography, against index-by-index oracles.
+
+The Kronecker order of the effective operators ``rho^T (x) pi``, the
+partial traces behind ``apply_map`` and ``trace_preservation_deviation``,
+and the Hermitian and PSD checks applied to matrices from outside.
+"""
+
 import numpy as np
 import pytest
 
-from phasegate.linalg import dag, eig_hermitian, is_hermitian, partial_trace, tensor
+from phasegate.experiment import ExperimentPlan, calibrated_noise, simulate_counts
+from phasegate.metrics import ideal_choi, process_fidelity
+from phasegate.states import density, projector
+from phasegate.tomography import (
+    TomographySetting,
+    apply_map,
+    ml_reconstruct_process,
+    require_projector,
+    require_psd,
+    settings_for_phase,
+)
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def kron_by_hand(a, b):
-    """Index-by-index Kronecker product, the oracle for tensor()."""
+    """Index-by-index Kronecker product, the oracle for the operator order."""
     ra, ca = a.shape
     rb, cb = b.shape
     out = np.zeros((ra * rb, ca * cb), dtype=complex)
@@ -34,124 +49,128 @@ def reduced_by_hand(m, traced_out):
     return out
 
 
-def random_hermitian(rng, n):
+def random_psd(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a + a.conj().T
+    return a @ a.conj().T
+
+
+def random_density(rng):
+    rho = random_psd(rng, 2)
+    return rho / np.trace(rho).real
+
+
+def random_projector(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 class TestTensor:
+    """``TomographySetting.operator`` is ``rho_in^T (x) pi_out``, input index first."""
+
     def test_identity_case(self):
-        np.testing.assert_allclose(tensor(I2, I2), np.eye(4))
+        # Summed over a complete output basis, the operators give rho^T (x) I.
+        rho = random_density(np.random.default_rng(1))
+        total = sum(TomographySetting(rho, projector(out), 0.0).operator for out in ("0", "1"))
+        np.testing.assert_allclose(total, kron_by_hand(rho.T, I2), atol=1e-14)
 
     def test_projector_product(self):
-        p0 = np.diag([1.0, 0.0])
-        np.testing.assert_allclose(tensor(p0, p0), np.diag([1.0, 0, 0, 0]))
+        s = TomographySetting(density("0"), projector("0"), 0.0)
+        np.testing.assert_allclose(s.operator, np.diag([1.0, 0, 0, 0]))
+        s = TomographySetting(density("1"), projector("0"), 0.0)
+        np.testing.assert_allclose(s.operator, np.diag([0.0, 0, 1, 0]))
 
     def test_pauli_x_times_z_entries(self):
-        t = tensor(X, Z)
+        # Input |+> (an X eigenstate), output projector |0><0| (a Z eigenstate).
+        t = TomographySetting(density("+"), projector("0"), 0.0).operator
         expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1
-        expected[1, 3] = -1
-        expected[2, 0] = 1
-        expected[3, 1] = -1
-        np.testing.assert_allclose(t, expected)
+        expected[0, 0] = expected[0, 2] = expected[2, 0] = expected[2, 2] = 0.5
+        np.testing.assert_allclose(t, expected, atol=1e-15)
 
     def test_matches_hand_kronecker(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            np.testing.assert_allclose(tensor(a, b), kron_by_hand(a, b), atol=1e-14)
-
-    def test_associative(self):
-        rng = np.random.default_rng(2)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-13)
+            rho, pi = random_density(rng), random_projector(rng)
+            s = TomographySetting(rho, pi, 1.0)
+            np.testing.assert_allclose(s.operator, kron_by_hand(rho.T, pi), atol=1e-14)
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = random_hermitian(rng, 2)
-            b = random_hermitian(rng, 2)
-            np.testing.assert_allclose(np.trace(tensor(a, b)), np.trace(a) * np.trace(b), atol=1e-12)
+            s = TomographySetting(random_density(rng), random_projector(rng), 0.0)
+            assert np.trace(s.operator) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPartialTrace:
+    """``apply_map`` traces out the input; ``trace_preservation_deviation`` the output."""
+
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(4)
-        rho = random_hermitian(rng, 2)
-        sigma = random_hermitian(rng, 2)
-        np.testing.assert_allclose(
-            partial_trace(tensor(rho, sigma), 0), np.trace(rho) * sigma, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            partial_trace(tensor(rho, sigma), 1), np.trace(sigma) * rho, atol=1e-12
-        )
+        a, b = random_psd(rng, 2), random_psd(rng, 2)
+        rho = random_density(rng)
+        out, weight = apply_map(kron_by_hand(a, b), rho)
+        np.testing.assert_allclose(out, b / np.trace(b).real, atol=1e-12)
+        assert weight == pytest.approx((np.trace(a @ rho.T) * np.trace(b)).real, abs=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(partial_trace(np.eye(4), 1), 2 * I2)
+        out, weight = apply_map(np.eye(4) / 2, random_density(np.random.default_rng(8)))
+        np.testing.assert_allclose(out, I2 / 2, atol=1e-15)
+        assert weight == pytest.approx(1.0, abs=1e-15)
 
     def test_bell_state_reduces_to_mixed(self):
-        phi_plus = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(phi_plus, phi_plus.conj())
-        np.testing.assert_allclose(partial_trace(rho, 0), I2 / 2, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(rho, 0), reduced_by_hand(rho, 0), atol=1e-14)
+        for phi in np.linspace(0, 2 * np.pi, 5):
+            out, weight = apply_map(ideal_choi(phi), I2 / 2)
+            np.testing.assert_allclose(out, I2 / 2, atol=1e-14)
+            assert weight == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_hand_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            np.testing.assert_allclose(partial_trace(m, 0), reduced_by_hand(m, 0), atol=1e-13)
-            np.testing.assert_allclose(partial_trace(m, 1), reduced_by_hand(m, 1), atol=1e-13)
+            chi, rho = random_psd(rng, 4), random_density(rng)
+            out, weight = apply_map(chi, rho)
+            np.testing.assert_allclose(out * weight, reduced_by_hand(chi @ kron_by_hand(rho.T, I2), 0), atol=1e-13)
+        table = simulate_counts(ExperimentPlan(phases=(0.3, 2.0)), calibrated_noise(pair_rate=500.0, n_intervals=1), 5)
+        for pi in range(2):
+            fit = ml_reconstruct_process(settings_for_phase(table, pi))
+            deviation = np.max(np.abs(reduced_by_hand(fit.choi, 1) - I2))
+            assert fit.trace_preservation_deviation == pytest.approx(deviation, abs=1e-13)
 
     def test_preserves_full_trace(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            for side in (0, 1):
-                np.testing.assert_allclose(np.trace(partial_trace(m, side)), np.trace(m), atol=1e-12)
+            chi, rho = random_psd(rng, 4), random_density(rng)
+            _, weight = apply_map(chi, rho)
+            assert weight == pytest.approx(np.trace(chi @ kron_by_hand(rho.T, I2)).real, abs=1e-12)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
-            partial_trace(np.eye(3), 0)
-        with pytest.raises(ValueError, match="traced_out"):
-            partial_trace(np.eye(4), 2)
+            apply_map(np.eye(3), density("0"))
+        with pytest.raises(ValueError, match="2x2"):
+            apply_map(ideal_choi(0.0), np.eye(3) / 3)
 
 
 class TestEigHermitian:
-    def test_diagonal(self):
-        w, v = eig_hermitian(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0])
-        # Ascending order permutes the identity columns.
-        np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-14)
-
-    def test_pauli_x_closed_form(self):
-        w, v = eig_hermitian(X)
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        # Eigenvectors fixed only up to phase; compare by overlap modulus.
-        assert abs(np.vdot(minus, v[:, 0])) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(plus, v[:, 1])) == pytest.approx(1.0, abs=1e-12)
+    """The Hermitian and PSD checks behind user-built settings and loaded files."""
 
     def test_degenerate_spectrum(self):
-        w, v = eig_hermitian(np.eye(4) / 4)
-        np.testing.assert_allclose(w, [0.25] * 4)
-        # Any orthonormal basis is fine; check the eigenspace projector.
-        np.testing.assert_allclose(v @ dag(v), np.eye(4), atol=1e-12)
-
-    def test_reconstruction_on_random_matrices(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            m = random_hermitian(rng, 4)
-            w, v = eig_hermitian(m)
-            assert np.all(np.diff(w) >= -1e-12)
-            np.testing.assert_allclose(v @ np.diag(w) @ dag(v), m, atol=1e-9)
+        for m, dim in ((np.eye(4) / 2, 4), (np.eye(2) / 2, 2)):
+            np.testing.assert_array_equal(require_psd(m, dim, "matrix"), m)
+        require_psd(np.eye(2) / 2, 2, "density matrix", trace=1.0)
 
     def test_rejects_non_hermitian(self):
+        jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            require_psd(jordan, 2, "density matrix", trace=1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TomographySetting(jordan, projector("0"), 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            process_fidelity(ideal_choi(0.0), np.kron(jordan, projector("0")))
 
     def test_hermiticity_predicate(self):
-        assert is_hermitian(X)
-        assert not is_hermitian(X + 1e-8 * np.array([[0, 1j], [0, 0]]))
+        nudge = 1e-8 * np.array([[0, 1j], [0, 0]])
+        require_psd(density("+"), 2, "density matrix", trace=1.0)
+        require_projector(projector("+"))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_psd(density("+") + nudge, 2, "density matrix", trace=1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_projector(projector("+") + nudge)

@@ -5,7 +5,6 @@ import pytest
 
 from phasegate.errors import DataFormatError
 from phasegate.gate import gate_unitary
-from phasegate.linalg import eig_hermitian, tensor
 from phasegate.metrics import (
     MERIT_CSV_HEADER,
     MeritReport,
@@ -30,7 +29,7 @@ def ideal_choi_by_hand(phi):
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            out += tensor(e, u @ e @ u.conj().T)
+            out += np.kron(e, u @ e @ u.conj().T)
     return out
 
 
@@ -60,8 +59,7 @@ class TestIdealChoi:
 
     def test_rank_one_spectrum(self):
         for phi in np.linspace(0, 2 * np.pi, 7):
-            w, _ = eig_hermitian(ideal_choi(phi))
-            np.testing.assert_allclose(w, [0, 0, 0, 2], atol=1e-12)
+            np.testing.assert_allclose(np.linalg.eigvalsh(ideal_choi(phi)), [0, 0, 0, 2], atol=1e-12)
 
 
 class TestProcessFidelity:
@@ -159,6 +157,15 @@ class TestMeritReport:
         assert a.F_av == pytest.approx(b.F_av, abs=1e-12)
         assert a.F_min == pytest.approx(b.F_min, abs=1e-12)
         assert a.P_av == pytest.approx(b.P_av, abs=1e-12)
+
+    def test_one_eigendecomposition_per_report(self, monkeypatch):
+        # Only the rank-1 check of chi_id decomposes; the inputs are not validated again.
+        calls = []
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name: calls.append(_n) or _s(*a))
+        merit_report(ideal_choi(0.4), self._ideal_states(0.4), 0.4, True, 0.5)
+        assert calls == ["eigvalsh"]
 
     def test_wrong_state_count_rejected(self):
         with pytest.raises(ValueError, match="6"):

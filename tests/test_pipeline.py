@@ -200,6 +200,17 @@ class TestArtifacts:
             assert match.F_av == pytest.approx(r.F_av, abs=1e-9)
             assert match.success_probability == pytest.approx(r.success_probability, abs=1e-8)
 
+    def test_collect_reports_checks_each_matrix_once(self, small_run, tmp_path, monkeypatch):
+        cfg, result = small_run
+        out = tmp_path / "checked"
+        write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        loaded, _ = collect_reports(str(out))
+        # Per report: its Choi matrix and six states as they load, then the rank-1 check of chi_id.
+        assert sorted(calls) == sorted([(2, 2)] * 6 * len(loaded) + [(4, 4)] * 2 * len(loaded))
+
     def test_missing_state_file_listed(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "broken"

@@ -1,12 +1,13 @@
 """Map application and ML reconstruction against closed-loop oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from phasegate.errors import DataFormatError
 from phasegate.experiment import ExperimentPlan, ideal_noise, simulate_counts
 from phasegate.gate import gate_unitary
-from phasegate.linalg import eig_hermitian
 from phasegate.metrics import ideal_choi, process_fidelity
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density, ket, projector
 from phasegate.tomography import (
@@ -16,7 +17,7 @@ from phasegate.tomography import (
     load_state,
     ml_reconstruct_process,
     ml_reconstruct_state,
-    require_choi,
+    require_psd,
     save_choi,
     save_state,
     setting_probability,
@@ -54,8 +55,7 @@ def exact_state_counts(rho_true, per_basis=1e6):
 
 
 def trace_distance(a, b):
-    w, _ = eig_hermitian(a - b)
-    return 0.5 * float(np.sum(np.abs(w)))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 class TestApplyMap:
@@ -138,7 +138,7 @@ class TestProcessReconstruction:
     def test_output_is_valid_choi(self):
         # Generic phase, modest total: the optimum hugs the PSD boundary.
         result = ml_reconstruct_process(exact_process_settings(ideal_choi(2.0), total=2e4))
-        chi = require_choi(result.choi)
+        chi = require_psd(result.choi, 4, "Choi matrix")
         assert abs(np.trace(chi).real - 2.0) < 1e-8
 
     def test_likelihood_monotone_and_iterations_bounded(self):
@@ -241,6 +241,34 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="iterations"):
             load_choi(path)
 
+    def test_trailing_lines_rejected(self, tmp_path):
+        path = tmp_path / "state.txt"
+        save_state(path, density("0"), 0.0, "0")
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("0 0\n0 0\n")
+        with pytest.raises(DataFormatError, match="expected 4 entries after 'dim', found 6"):
+            load_state(path)
+
+    @pytest.mark.parametrize(
+        "chi, fragment",
+        [
+            (np.diag([1.2, 0.2, -0.2, 0.8]), "negative eigenvalue -2.000e-01"),
+            (ideal_choi(0.0) + 1e-6j * np.eye(4)[::-1], "not Hermitian"),
+            (np.zeros((4, 4)), "trace must be positive, got 0"),
+        ],
+    )
+    def test_non_physical_choi_file_rejected(self, tmp_path, chi, fragment):
+        path = tmp_path / "choi.txt"
+        save_choi(path, chi, 0.0, 1, 0.0)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: Choi matrix .*{fragment}"):
+            load_choi(path)
+
+    def test_state_file_trace_rejected_as_plain_number(self, tmp_path):
+        path = tmp_path / "state.txt"
+        save_state(path, 1.99 * density("0"), 0.0, "0")
+        with pytest.raises(DataFormatError, match=r"density matrix trace must be 1, got 1\.99$"):
+            load_state(path)
+
     def test_wrong_dimension_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         save_state(path, density("0"), 0.0, "0")
@@ -249,17 +277,17 @@ class TestSerialization:
 
 
 class TestValidation:
-    def test_require_choi_rejects_negative(self):
+    def test_psd_check_rejects_negative(self):
         bad = np.diag([1.5, 0.7, -0.2, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            require_choi(bad)
+            require_psd(bad, 4, "Choi matrix")
 
     def test_setting_rejects_non_projector(self):
         with pytest.raises(ValueError, match="idempotent"):
             TomographySetting(density("0"), 0.5 * np.eye(2), 1.0)
 
     def test_setting_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match="trace must be 1, got 2$"):
             TomographySetting(2 * density("0"), projector("0"), 1.0)
 
     def test_phase_design_shares_validated_operators(self):
