@@ -16,6 +16,7 @@ is deterministic for a fixed (config, seed).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import tempfile
@@ -230,6 +231,18 @@ def write_pipeline_artifacts(cfg: RunConfig, result: PipelineResult) -> list[str
     return written
 
 
+def _meta_number(path, meta, key: str, default: float | None = None) -> float:
+    """A finite number from file metadata, or ``default`` when the key is absent."""
+    raw = meta.get(key, default)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}: metadata {key} must be a finite number, got {raw!r}")
+    return value
+
+
 def collect_reports(out_dir: str):
     """Rebuild merit rows from the choi/state files in a directory.
 
@@ -238,7 +251,8 @@ def collect_reports(out_dir: str):
     Each matrix is checked as it loads (Hermitian, PSD, trace), so a
     non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from file metadata when present, else the
-    nominal 1/2 or 1/4.
+    nominal 1/2 or 1/4.  Metadata that is not a finite number, or a merit
+    figure outside [0, 1], raises :class:`DataFormatError` naming the file.
     """
     if not os.path.isdir(out_dir):
         raise DataFormatError(f"not a directory: {out_dir}")
@@ -259,7 +273,7 @@ def collect_reports(out_dir: str):
     warnings = []
     for (ff, pi), choi_path in sorted(choi_files.items()):
         chi, meta = load_choi(choi_path)
-        phi = float(meta["phase"])
+        phi = _meta_number(choi_path, meta, "phase")
         states_here = state_files.get((ff, pi), {})
         missing = [s for s in STATE_LABELS if s not in states_here]
         if missing:
@@ -267,11 +281,14 @@ def collect_reports(out_dir: str):
         rhos = []
         for label in STATE_LABELS:
             rho, smeta = load_state(states_here[label])
-            if abs(float(smeta["phase"]) - phi) > 1e-9:
+            if abs(_meta_number(states_here[label], smeta, "phase") - phi) > 1e-9:
                 raise DataFormatError(f"{states_here[label]}: phase does not match {choi_path}")
             rhos.append(rho)
-        success = float(meta.get("success_probability", NOMINAL_SUCCESS[ff]))
-        reports.append(merit_report(chi, rhos, phi, ff, success))
+        success = _meta_number(choi_path, meta, "success_probability", NOMINAL_SUCCESS[ff])
+        try:
+            reports.append(merit_report(chi, rhos, phi, ff, success))
+        except ValueError as exc:
+            raise DataFormatError(f"{choi_path}: {exc}") from exc
     phases_ff = {r.phi for r in reports if r.feed_forward_active}
     phases_noff = {r.phi for r in reports if not r.feed_forward_active}
     if phases_ff and phases_noff and phases_ff != phases_noff:

@@ -13,21 +13,19 @@ operators ``E_k = rho_j^T (x) pi_l``.  ``L`` is concave, so its gradient
 ``R = sum_k (n_k / N p_k) E_k`` certifies every iterate: no feasible
 point beats ``chi`` by more than ``gap = N (2 lambda_max(R) - 1)`` nats
 (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops once the
-gap is at most :data:`GAP_TOL`.  Three monotone stages climb ``L``
+gap is at most :data:`GAP_TOL`.  Two monotone stages climb ``L``
 (see :func:`_ml_fixed_point`):
 
 * a short warm-up with the fixed point ``chi <- N[R chi R]`` (RrhoR,
-  ``N`` the trace renormalization).  A step that lowers ``L`` is
-  replaced by a diluted one, ``R_w = (1-w) I + w R`` with ``w`` halved
-  until the step is accepted.  RrhoR finds the support of the optimum
-  fast but then converges only linearly, at the rate set by the
-  multipliers of the boundary directions;
+  ``N`` the trace renormalization), which ends early at a step that
+  would lower ``L``.  RrhoR finds the support of the optimum fast but
+  then converges only linearly, at the rate set by the multipliers of
+  the boundary directions;
 * damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
   off the warm-up iterate (after Burer & Monteiro, Math. Program. 95,
   329, 2003), which has no PSD constraint left and converges
-  quadratically;
-* accelerated projected gradient (APG; Shang, Zhang & Ng, PRA 95,
-  062336, 2017) for the rare fit that Newton leaves uncertified.
+  quadratically.  A pass that a wrong rank leaves uncertified is run
+  once more from the warm-up iterate at full rank.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -68,15 +66,13 @@ MAX_ITERS = 10**5
 _DECREASE_TOL = 1e-14
 # RrhoR evaluates its certificate every this many iterations (one eigvalsh each).
 _CHECK_EVERY = 16
-# RrhoR steps before Newton on the factor takes over, and the Newton steps before APG does.
+# RrhoR steps before Newton on the factor takes over, and the Newton steps of each pass.
 _WARMUP_STEPS = 32
-_FACTOR_STEPS = 12
+_FACTOR_STEPS = 24
 # Hessian eigenvalues above this fraction of the largest |eigenvalue| below zero count as flat.
 _CURVATURE_RTOL = 1e-10
 # Newton halves a step that lowers L down to this fraction of it.
 _MIN_DAMPING = 2.0**-30
-# APG declares the iterate stationary after this many steps in a row that do not raise L.
-_STALL_STEPS = 30
 # The certificate's own rounding error, in units of eps * (N + gap).
 _ROUNDING_ULPS = 64.0
 
@@ -194,14 +190,15 @@ class ProcessReconstruction:
     """ML-estimated Choi matrix plus convergence diagnostics."""
 
     choi: np.ndarray
-    #: RrhoR, Newton and APG steps taken.
+    #: RrhoR and Newton steps taken, those of a discarded Newton pass included.
     iterations: int
     #: The fit is certified, or as close as rounding allows (see ``stop_reason``).
     converged: bool
     log_likelihood: float
     #: Per-event normalized log-likelihood after each accepted iteration.
     log_likelihood_trace: np.ndarray
-    #: Raw steps that would have lowered the likelihood (diluted or rejected instead).
+    #: Steps that would have lowered the likelihood: an RrhoR overshoot that ends the warm-up,
+    #: or a Newton step that was damped.
     likelihood_decreases: int
     #: max |Tr_out[chi] - I|: how far the estimate is from trace preserving.
     trace_preservation_deviation: float
@@ -209,10 +206,8 @@ class ProcessReconstruction:
     certified_gap: float
     #: Why the fit stopped: one of :data:`STOP_REASONS`.
     stop_reason: str
-    #: Of ``iterations``, the Newton steps on the rank-r factor that followed the RrhoR warm-up.
+    #: Of ``iterations``, the Newton steps on the factor that followed the RrhoR warm-up.
     newton_iterations: int
-    #: Of ``iterations``, the APG steps taken after Newton left the fit uncertified.
-    apg_iterations: int
 
 
 @dataclass
@@ -238,9 +233,10 @@ def _design_rank(flat_operators: bytes) -> int:
 
 #: ``certified``: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding
 #: error of the certificate itself, which exceeds GAP_TOL once N is above about 7e7 events.
-#: ``stalled``: no step raises L any more, yet the gap is above both.  ``max_iters``: the cap
-#: was hit.  ``step``: the caller's ``tol`` on the change of the iterate was met first, which
-#: proves nothing about the gap.
+#: ``stalled``: the fit ended uncertified before the cap: its last Newton pass found no step
+#: that raises L or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.
+#: ``max_iters``: the cap was hit.  ``step``: the caller's ``tol`` on the change of the iterate
+#: was met first, which proves nothing about the gap.
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
@@ -255,25 +251,6 @@ class _Fit(NamedTuple):
     gap: float
     stop_reason: str
     newton_iterations: int
-    apg_iterations: int
-
-
-def _frobenius(m: np.ndarray) -> float:
-    return math.sqrt(np.vdot(m, m).real)
-
-
-def _project_trace_simplex(m: np.ndarray, trace_target: float) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix with trace ``trace_target`` to the Hermitian ``m``."""
-    w, v = np.linalg.eigh(m)
-    # Project the eigenvalues onto the simplex {x >= 0, sum x = trace_target}: shift them
-    # down by the level that keeps the largest k of them positive with the right sum.
-    level, total = 0.0, 0.0
-    for k, x in enumerate(reversed(w.tolist()), start=1):
-        total += x
-        if x * k <= total - trace_target:
-            break
-        level = (total - trace_target) / k
-    return (v * np.maximum(w - level, 0.0)) @ v.conj().T
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -281,7 +258,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                     tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> _Fit:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    Three stages, each stopped by the certificate ``gap``:
+    Two stages, each stopped by the certificate ``gap``:
 
     1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
        steps, checking the gap every ``_CHECK_EVERY``.  It finds the
@@ -289,7 +266,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        eigenvalue ``0`` whose direction ``v`` has the multiplier
        ``mu = 1 - trace_target * v^H R v`` shrinks only by ``(1 - mu)^2``
        per step (``mu`` is about 0.11 on calibrated data), and like
-       ``1/k`` when ``mu`` vanishes.
+       ``1/k`` when ``mu`` vanishes.  A step that would lower ``L`` ends
+       the warm-up at the last accepted iterate.
     2. Damped Newton on a factor, ``m = trace_target B B^H / |B|^2`` with
        ``B`` of shape ``dim x rank``.  The rank drops every eigenvector
        of the iterate whose multiplier is at least half the largest one,
@@ -299,18 +277,17 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        when the rank is right.  ``L`` does not change under ``B -> c B U``
        for unitary ``U``, so the Hessian is inverted only on its
        negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
-    3. Accelerated projected gradient (APG), which finishes any fit that
-       Newton leaves uncertified (a wrong rank, or a non-concave patch of
-       the factorized ``L``).  APG sets boundary eigenvalues to zero in its
-       projection, so it does not slow down there; it is not the first
-       engine because small positive optimal eigenvalues make ``L``
-       ill-conditioned for a gradient method.
+       If the pass ends uncertified (no damped step raises ``L``, or the
+       steps run out) and the rank dropped a direction that the optimum
+       keeps, one more pass of as many steps starts again from the
+       warm-up iterate with every eigenvector kept.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
-    it does, from the truncated start too.  ``tol > 0`` keeps the fit in
-    RrhoR until a step changes the iterate by less than ``tol`` in max
-    norm; such a stop is not certified.
+    it does, from the truncated start too, and the trace of a discarded
+    pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR
+    until a step changes the iterate by less than ``tol`` in max norm;
+    such a stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
     n_total = counts.sum()
@@ -363,7 +340,6 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     reason = None
 
     # RrhoR warm-up; with tol > 0 it runs until the step is below tol.
-    eye = np.eye(dim, dtype=complex)
     warmup = min(max_iters, _WARMUP_STEPS) if tol <= 0.0 else max_iters
     while reason is None and iterations < warmup:
         iterations += 1
@@ -372,19 +348,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         ll_new = loglik(p_new)
         if not ll_new >= ll - _DECREASE_TOL:
             decreases += 1
-            # Dilute the step until it stops hurting the likelihood.
-            r_bar = r * (dim / np.trace(r).real)
-            w = 0.5
-            while w > 1e-6:
-                r_w = (1.0 - w) * eye + w * r_bar
-                candidate = renormalize(r_w @ est @ r_w)
-                p_new = probs(candidate)
-                ll_new = loglik(p_new)
-                if ll_new >= ll - _DECREASE_TOL:
-                    break
-                w *= 0.5
-            else:
-                break  # no step length helps RrhoR here; the next stage takes over
+            break  # RrhoR overshoots here; Newton goes on from the last accepted iterate
         step = float(np.max(np.abs(candidate - est))) if tol > 0.0 else math.inf
         est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
         trace.append(ll)
@@ -403,107 +367,66 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
         # (|min|) is not told apart from them, and the direction of the smallest always stays.
         dropped = multipliers > max(0.5 * multipliers.max(), abs(multipliers.min()))
-        c_rows = (v[:, ~dropped] * np.sqrt(np.maximum(w[~dropped], 0.0))).T
-        x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
         ops_t = ops.transpose(0, 2, 1)
         row = 2 * dim
-        # The truncated start is not accepted by itself: the first step is judged against ll too.
-        while reason is None and iterations < min(max_iters, newton_start + _FACTOR_STEPS):
-            iterations += 1
-            s = float(x @ x)
-            c_rows = x.view(complex).reshape(-1, dim)
-            jac = (c_rows @ ops_t).reshape(len(ops), -1).view(float)  # row k: half the gradient of q_k
-            q = jac @ x
-            a = gradient(q)  # sum_k (f_k / q_k) E_k
-            grad = 2.0 * (c_rows @ a.T).reshape(-1).view(float) - (2.0 / s) * x
-            # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T from the log q_k,
-            # 4 x x^T / s^2 - 2 I / s from -log s.  M_k maps each column b of B to E_k b, so the
-            # first term is, per column, b -> A b on its float view: [[Re A, -Im A], [Im A, Re A]].
-            hess = (4.0 / s**2) * np.outer(x, x) - (2.0 / s) * np.eye(x.size) - 4.0 * (jac.T * (weights / q**2)) @ jac
-            a_real = 2.0 * np.array([[a.real, -a.imag], [a.imag, a.real]]).transpose(2, 0, 3, 1).reshape(row, row)
-            for j in range(0, x.size, row):
-                hess[j : j + row, j : j + row] += a_real
-            curv, basis = np.linalg.eigh(hess)
-            neg = curv < -_CURVATURE_RTOL * abs(curv).max()
-            direction = basis[:, neg] @ ((basis[:, neg].T @ grad) / -curv[neg])
-            alpha = 1.0
-            while alpha >= _MIN_DAMPING:
-                x_new = x + alpha * direction
-                c_new = x_new.view(complex).reshape(-1, dim)
-                candidate = c_new.T @ c_new.conj() * (trace_target / float(x_new @ x_new))
-                p_new = probs(candidate)
-                ll_new = loglik(p_new)
-                if ll_new >= ll - _DECREASE_TOL:
-                    break
-                alpha *= 0.5
-            else:
-                break  # Newton cannot raise L from here; APG goes on from the last accepted point
-            if alpha < 1.0:
-                decreases += 1
-            x = x_new * math.sqrt(trace_target / float(x_new @ x_new))
-            est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
-            trace.append(ll)
-            gap = certificate(r)
-            reason = settled(gap)
-    newton_steps = iterations - newton_start
-
-    # APG with monotone acceptance, gradient restart (O'Donoghue & Candes) and a step
-    # length backtracked on gradient differences: function values carry rounding at
-    # sqrt(eps) relative to the gap near the optimum, gradients do not.
-    handover = iterations
-    if reason is None and iterations < max_iters:
-        gap = certificate(r)
-        reason = settled(gap)
-        previous = est
-        theta = 1.0
-        # First step length: 1 / sum_k f_k / p_k^2, below 1 / curvature of L for unit-norm E_k.
-        t = 1.0 / float(weights @ (1.0 / p**2))
-        flat_steps = 0
-    while reason is None and iterations < max_iters:
-        iterations += 1
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y, p_y, r_y = est, p, r
-        if theta > 1.0:
-            y_m = est + ((theta - 1.0) / theta_next) * (est - previous)
-            p_m = probs(y_m)
-            if p_m.min() > 0.0:
-                y, p_y, r_y = y_m, p_m, gradient(p_m)
-        for _ in range(60):
-            z = _project_trace_simplex(y + t * r_y, trace_target)
-            p_z = probs(z)
-            dz = _frobenius(z - y)
-            if p_z.min() > 0.0:
-                r_z = gradient(p_z)
-                dr = _frobenius(r_z - r_y)
-                if t * dr <= dz:
-                    break
-                t = min(0.5 * t, dz / dr)
-            else:
-                t *= 0.5
-        # A step that failed every test is judged by L alone (and rejected if infeasible).
-        ll_z = loglik(p_z)
-        flat_steps = 0 if ll_z > ll else flat_steps + 1
-        if ll_z >= ll - _DECREASE_TOL:
-            restart = np.vdot(z - y, z - est).real < 0.0
-            previous, est, p, ll, r = est, z, p_z, ll_z, r_z
-            trace.append(ll)
-            theta = 1.0 if restart else theta_next
-            t *= 1.5
-        else:
-            decreases += 1
-            previous, theta = est, 1.0
-            t *= 0.25
-        gap = certificate(r)
-        reason = settled(gap) or ("stalled" if flat_steps >= _STALL_STEPS else None)
+        warm = est, p, ll, r, len(trace)
+        # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
+        passes = [~dropped, np.ones_like(dropped)] if dropped.any() else [~dropped]
+        for kept in passes:
+            if reason is not None:
+                break
+            est, p, ll, r, n_warm = warm
+            del trace[n_warm:]
+            c_rows = (v[:, kept] * np.sqrt(np.maximum(w[kept], 0.0))).T
+            x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
+            # The truncated start is not accepted by itself: the first step is judged against ll too.
+            pass_end = min(max_iters, iterations + _FACTOR_STEPS)
+            while reason is None and iterations < pass_end:
+                iterations += 1
+                s = float(x @ x)
+                c_rows = x.view(complex).reshape(-1, dim)
+                jac = (c_rows @ ops_t).reshape(len(ops), -1).view(float)  # row k: half the gradient of q_k
+                q = jac @ x
+                a = gradient(q)  # sum_k (f_k / q_k) E_k
+                grad = 2.0 * (c_rows @ a.T).reshape(-1).view(float) - (2.0 / s) * x
+                # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T from the
+                # log q_k, 4 x x^T / s^2 - 2 I / s from -log s.  M_k maps each column b of B to E_k b, so
+                # the first term is, per column, b -> A b on its float view: [[Re A, -Im A], [Im A, Re A]].
+                hess = (4.0 / s**2) * np.outer(x, x) - (2.0 / s) * np.eye(x.size)
+                hess -= 4.0 * (jac.T * (weights / q**2)) @ jac
+                a_real = 2.0 * np.array([[a.real, -a.imag], [a.imag, a.real]]).transpose(2, 0, 3, 1).reshape(row, row)
+                for j in range(0, x.size, row):
+                    hess[j : j + row, j : j + row] += a_real
+                curv, basis = np.linalg.eigh(hess)
+                neg = curv < -_CURVATURE_RTOL * abs(curv).max()
+                direction = basis[:, neg] @ ((basis[:, neg].T @ grad) / -curv[neg])
+                alpha = 1.0
+                while alpha >= _MIN_DAMPING:
+                    x_new = x + alpha * direction
+                    c_new = x_new.view(complex).reshape(-1, dim)
+                    candidate = c_new.T @ c_new.conj() * (trace_target / float(x_new @ x_new))
+                    p_new = probs(candidate)
+                    ll_new = loglik(p_new)
+                    if ll_new >= ll - _DECREASE_TOL:
+                        break
+                    alpha *= 0.5
+                else:
+                    break  # Newton cannot raise L from here
+                if alpha < 1.0:
+                    decreases += 1
+                x = x_new * math.sqrt(trace_target / float(x_new @ x_new))
+                est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
+                trace.append(ll)
+                gap = certificate(r)
+                reason = settled(gap)
 
     if reason in (None, "step"):
         gap = certificate(r)
-        reason = settled(gap) or reason or "max_iters"
+        reason = settled(gap) or reason or ("max_iters" if iterations >= max_iters else "stalled")
     converged = reason in ("certified", "rounding")
     est = 0.5 * (est + est.conj().T)
     return _Fit(est, iterations, converged, float(n_total * ll), np.asarray(trace), decreases, gap, reason,
-                newton_steps, iterations - handover)
-
+                iterations - newton_start)
 
 def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> ProcessReconstruction:
     """Maximum-likelihood Choi matrix from a list of :class:`TomographySetting`.
@@ -529,8 +452,7 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
     tr_out = np.einsum("ikjk->ij", fit.est.reshape(2, 2, 2, 2))
     tp_dev = float(np.max(np.abs(tr_out - np.eye(2))))
     return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
-                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.newton_iterations,
-                                 fit.apg_iterations)
+                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.newton_iterations)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -709,7 +631,7 @@ def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, *
     Layout: ``phase``, ``iterations``, ``log_likelihood`` (plus any
     extra key-value metadata) lines, then ``dim 4`` and 16 row-major
     ``re im`` entry lines at 15 significant digits.  ``iterations`` is
-    :attr:`ProcessReconstruction.iterations`: RrhoR, Newton and APG steps together.
+    :attr:`ProcessReconstruction.iterations`: RrhoR and Newton steps together.
     """
     chi = np.asarray(chi, dtype=complex)
     with open(path, "w", encoding="utf-8", newline="") as f:

@@ -241,3 +241,21 @@ class TestReportRejectsNonPhysicalFiles:
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
         assert not (ideal_files / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, fragment",
+        [
+            ("state_ff_p00_plus.txt", "metadata phase must be a finite number, got 'zero'"),
+            ("choi_ff_p00.txt", "success_probability = 1.5 outside [0, 1]"),
+        ],
+        ids=["state_phase_zero", "choi_success_1.5"],
+    )
+    def test_malformed_metadata_exits_3_naming_the_file(self, ideal_files, capsys, name, fragment):
+        path = ideal_files / name
+        if name.startswith("choi"):
+            save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0, success_probability=1.5)
+        else:
+            path.write_text(path.read_text().replace("phase 0\n", "phase zero\n"))
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()

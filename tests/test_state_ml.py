@@ -36,7 +36,7 @@ def certified_gap(rho, basis_counts):
 
 
 def reference(basis_counts, max_iters=MAX_ITERS):
-    """The iterative estimator of the process fits (RrhoR, then APG) on the same six projectors."""
+    """The iterative estimator of the process fits (RrhoR, then Newton on a factor) on the same six projectors."""
     fit = _ml_fixed_point(OPERATORS, flat_counts(basis_counts), 2, 1.0, UPDATE_TOL, max_iters)
     return fit.est, fit.log_likelihood
 
