@@ -29,8 +29,8 @@ class RunConfig:
     emit: tuple[str, ...] = EMIT_CHOICES
 
     def __post_init__(self):
-        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.feed_forward, bool):
             raise ConfigError(f"feed_forward must be a boolean, got {self.feed_forward!r}")
         emit = tuple(self.emit)
@@ -58,13 +58,7 @@ def _build_section(cls, data: dict, section: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
-    kwargs = dict(data)
-    if section == "plan":
-        # JSON has no tuples; normalize the list-valued fields.
-        for name in ("phases", "input_states", "bases"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
+    return cls(**data)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

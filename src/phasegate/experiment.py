@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ class NoiseConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v!r}")
         for name in ("dark_quad", "dark_single", "phase_sigma", "pair_rate", "interval_s", "coincidence_window"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v >= 0.0 and np.isfinite(v)):
+            if not (isinstance(v, (int, float)) and 0.0 <= v <= sys.float_info.max):
                 raise ConfigError(f"{name} must be a finite non-negative number, got {v!r}")
         if not (isinstance(self.n_intervals, int) and self.n_intervals >= 1):
             raise ConfigError(f"n_intervals must be an integer >= 1, got {self.n_intervals!r}")
@@ -152,8 +153,17 @@ class ExperimentPlan:
     bases: tuple[str, ...] = BASIS_LABELS
 
     def __post_init__(self):
+        for name in ("phases", "input_states", "bases"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if len(self.phases) == 0:
             raise ConfigError("phases must be non-empty")
+        for p in self.phases:
+            # JSON true/false would pass as 1/0; NaN, infinities and ints beyond float range fail the bound.
+            if isinstance(p, bool) or not (isinstance(p, (int, float)) and abs(p) <= sys.float_info.max):
+                raise ConfigError(f"phases entries must be finite numbers, got {p!r}")
         object.__setattr__(self, "phases", tuple(canonical_phase(p) for p in self.phases))
         if len(set(self.phases)) != len(self.phases):
             raise ConfigError("phases contains duplicates after canonicalization")

@@ -10,8 +10,9 @@ forward, ``pNN`` is the phase index in plan order):
 * ``state_<tag>_pNN_<label>.txt``   output density matrix per input state
 * ``report.csv``, ``report.txt``    merit table, machine and human form
 
-All writes go through a temp file and an atomic rename, and every file
-is deterministic for a fixed (config, seed).
+All writes go through an exclusively created temp file, whose mode
+comes from the umask as for a plain ``open()``, and an atomic rename;
+every file is deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 
 from .config import RunConfig
@@ -142,21 +142,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     return PipelineResult(table, recon_sets, reports)
 
 
-def _atomic(path: str, write_fn) -> str:
-    """Have ``write_fn`` write a private temp file beside ``path``, then rename it into place.
+def _atomic(path: str, write_fn, *args, **kwargs) -> str:
+    """Have ``write_fn(tmp, *args, **kwargs)`` write a temp file beside ``path``, then rename it into place.
 
-    The temp name is unique, so runs sharing a directory cannot collide,
-    and it is removed if ``write_fn`` fails.
+    The temp file is created exclusively under a random name, so runs
+    sharing a directory cannot collide, with the mode a plain ``open()``
+    gives (0o666 less the umask).  It is removed if ``write_fn`` fails.
     """
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
-    os.close(fd)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        # mkstemp creates the file owner-only; give it the mode a plain open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        write_fn(tmp)
+        write_fn(tmp, *args, **kwargs)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -174,36 +171,17 @@ def write_reconstruction(rs: ReconstructionSet, out_dir: str, emit=("choi", "sta
     os.makedirs(out_dir, exist_ok=True)
     tag = variant_tag(rs.feed_forward)
     written = []
+    ff = int(rs.feed_forward)
     for pi, phi in enumerate(rs.phases):
         proc = rs.processes[pi]
         if "choi" in emit:
             path = os.path.join(out_dir, f"choi_{tag}_p{pi:02d}.txt")
-            written.append(
-                _atomic(
-                    path,
-                    lambda p, proc=proc, phi=phi: save_choi(
-                        p,
-                        proc.choi,
-                        phi,
-                        proc.iterations,
-                        proc.log_likelihood,
-                        feed_forward=int(rs.feed_forward),
-                        success_probability=f"{rs.success_probability:.9g}",
-                    ),
-                )
-            )
+            written.append(_atomic(path, save_choi, proc.choi, phi, proc.iterations, proc.log_likelihood,
+                                   feed_forward=ff, success_probability=f"{rs.success_probability:.9g}"))
         if "states" in emit:
             for si, label in enumerate(rs.input_states):
-                sres = rs.output_states[pi][si]
                 path = os.path.join(out_dir, f"state_{tag}_p{pi:02d}_{STATE_FILE_LABELS[label]}.txt")
-                written.append(
-                    _atomic(
-                        path,
-                        lambda p, sres=sres, phi=phi, label=label: save_state(
-                            p, sres.rho, phi, label, feed_forward=int(rs.feed_forward)
-                        ),
-                    )
-                )
+                written.append(_atomic(path, save_state, rs.output_states[pi][si].rho, phi, label, feed_forward=ff))
     return written
 
 
@@ -214,10 +192,10 @@ def _write_text(path: str, text: str) -> None:
 
 def write_reports(reports, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = _atomic(os.path.join(out_dir, "report.csv"), lambda p: write_merit_csv(p, reports))
-    text = format_merit_table(reports)
-    txt_path = _atomic(os.path.join(out_dir, "report.txt"), lambda p: _write_text(p, text))
-    return [csv_path, txt_path]
+    return [
+        _atomic(os.path.join(out_dir, "report.csv"), write_merit_csv, reports),
+        _atomic(os.path.join(out_dir, "report.txt"), _write_text, format_merit_table(reports)),
+    ]
 
 
 def write_pipeline_artifacts(cfg: RunConfig, result: PipelineResult) -> list[str]:

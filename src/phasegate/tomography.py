@@ -60,6 +60,8 @@ PROB_FLOOR = 1e-12
 GAP_TOL = 1e-6
 #: Default of the optional early exit on the max-norm change of the iterate: off.
 UPDATE_TOL = 0.0
+#: Cap on the RrhoR steps of a fit with ``tol > 0``; with ``tol = 0`` a fit takes at most
+#: ``_WARMUP_STEPS + 2 * _FACTOR_STEPS`` steps.
 MAX_ITERS = 10**5
 # A step is treated as a likelihood decrease only beyond this slack;
 # per-event log-likelihoods are O(1), so this sits well above rounding.
@@ -233,10 +235,10 @@ def _design_rank(flat_operators: bytes) -> int:
 
 #: ``certified``: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding
 #: error of the certificate itself, which exceeds GAP_TOL once N is above about 7e7 events.
-#: ``stalled``: the fit ended uncertified before the cap: its last Newton pass found no step
-#: that raises L or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.
-#: ``max_iters``: the cap was hit.  ``step``: the caller's ``tol`` on the change of the iterate
-#: was met first, which proves nothing about the gap.
+#: ``stalled``: the fit ended uncertified: its last Newton pass found no step that raises L
+#: or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.  ``max_iters``:
+#: reachable only under ``tol > 0``, where RrhoR took :data:`MAX_ITERS` steps.  ``step``: the
+#: caller's ``tol`` on the change of the iterate was met first, which proves nothing about the gap.
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
@@ -254,8 +256,7 @@ class _Fit(NamedTuple):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float,
-                    tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> _Fit:
+def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float, tol: float = UPDATE_TOL) -> _Fit:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
     Two stages, each stopped by the certificate ``gap``:
@@ -340,7 +341,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     reason = None
 
     # RrhoR warm-up; with tol > 0 it runs until the step is below tol.
-    warmup = min(max_iters, _WARMUP_STEPS) if tol <= 0.0 else max_iters
+    warmup = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS
     while reason is None and iterations < warmup:
         iterations += 1
         candidate = renormalize(r @ est @ r)
@@ -380,7 +381,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
             c_rows = (v[:, kept] * np.sqrt(np.maximum(w[kept], 0.0))).T
             x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
             # The truncated start is not accepted by itself: the first step is judged against ll too.
-            pass_end = min(max_iters, iterations + _FACTOR_STEPS)
+            pass_end = iterations + _FACTOR_STEPS
             while reason is None and iterations < pass_end:
                 iterations += 1
                 s = float(x @ x)
@@ -422,21 +423,23 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
 
     if reason in (None, "step"):
         gap = certificate(r)
-        reason = settled(gap) or reason or ("max_iters" if iterations >= max_iters else "stalled")
+        reason = settled(gap) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
     converged = reason in ("certified", "rounding")
     est = 0.5 * (est + est.conj().T)
     return _Fit(est, iterations, converged, float(n_total * ll), np.asarray(trace), decreases, gap, reason,
                 iterations - newton_start)
 
-def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = MAX_ITERS) -> ProcessReconstruction:
+def ml_reconstruct_process(settings, tol: float = UPDATE_TOL) -> ProcessReconstruction:
     """Maximum-likelihood Choi matrix from a list of :class:`TomographySetting`.
 
     Requires an informationally complete design (the operators must span
     the full 16-dimensional Hermitian space); the six-input, three-basis
     plan qualifies.  Counts may be non-integer (efficiency rescaled).
     The fit stops when it is certified within :data:`GAP_TOL` nats of the
-    maximum, or as ``stop_reason`` records; ``tol > 0`` adds an
-    uncertified early exit on the change of the iterate.
+    maximum, or as ``stop_reason`` records, after at most
+    ``_WARMUP_STEPS + 2 * _FACTOR_STEPS`` steps.  ``tol > 0`` instead keeps
+    the fit in RrhoR, up to :data:`MAX_ITERS` steps, with an uncertified
+    early exit on the change of the iterate.
     """
     settings = list(settings)
     if not settings:
@@ -448,7 +451,7 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL, max_iters: int = M
         raise DataFormatError(
             f"measurement design is rank-deficient: spans {rank} of {CHOI_DIM * CHOI_DIM} dimensions"
         )
-    fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol, max_iters)
+    fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol)
     tr_out = np.einsum("ikjk->ij", fit.est.reshape(2, 2, 2, 2))
     tp_dev = float(np.max(np.abs(tr_out - np.eye(2))))
     return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
@@ -633,17 +636,8 @@ def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, *
     ``re im`` entry lines at 15 significant digits.  ``iterations`` is
     :attr:`ProcessReconstruction.iterations`: RrhoR and Newton steps together.
     """
-    chi = np.asarray(chi, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"phase {phase:.12g}\n")
-        f.write(f"iterations {int(iterations)}\n")
-        f.write(f"log_likelihood {log_likelihood:.15g}\n")
-        for key in sorted(extra):
-            f.write(f"{key} {extra[key]}\n")
-        f.write(f"dim {CHOI_DIM}\n")
-        for i in range(CHOI_DIM):
-            for j in range(CHOI_DIM):
-                f.write(f"{chi[i, j].real:.15g} {chi[i, j].imag:.15g}\n")
+    _save_matrix_file(path, chi, CHOI_DIM, extra, phase=f"{phase:.12g}", iterations=int(iterations),
+                      log_likelihood=f"{log_likelihood:.15g}")
 
 
 def load_choi(path):
@@ -659,22 +653,22 @@ def load_choi(path):
 
 def save_state(path, rho, phase: float, input_state: str, **extra) -> None:
     """Write a reconstructed output density matrix, tagged by its setting."""
-    rho = np.asarray(rho, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"phase {phase:.12g}\n")
-        f.write(f"input_state {input_state}\n")
-        for key in sorted(extra):
-            f.write(f"{key} {extra[key]}\n")
-        f.write("dim 2\n")
-        for i in range(2):
-            for j in range(2):
-                f.write(f"{rho[i, j].real:.15g} {rho[i, j].imag:.15g}\n")
+    _save_matrix_file(path, rho, 2, extra, phase=f"{phase:.12g}", input_state=input_state)
 
 
 def load_state(path):
     """Read a file written by :func:`save_state`; returns ``(rho, meta)`` for a density matrix ``rho``."""
     meta, m = _load_matrix_file(path, 2, ("phase", "input_state"), "density matrix", 1.0)
     return m, meta
+
+
+def _save_matrix_file(path, m, dim: int, extra: dict, **head) -> None:
+    """Write the ``head`` metadata in order, ``extra`` sorted by key, then ``dim`` and the row-major entries."""
+    entries = np.asarray(m, dtype=complex).reshape(dim * dim)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(f"{key} {value}\n" for key, value in [*head.items(), *sorted(extra.items())])
+        f.write(f"dim {dim}\n")
+        f.writelines(f"{z.real:.15g} {z.imag:.15g}\n" for z in entries)
 
 
 def _load_matrix_file(path, dim: int, keys, what: str, trace: float | None):

@@ -53,6 +53,17 @@ class TestRunConfig:
             ({"noise": {"eta_p0": True}}, "eta_p0"),
             ({"noise": {"n_intervals": True}}, "n_intervals"),
             ({"noise": {"pair_rate": False}}, "pair_rate"),
+            ({"plan": {"phases": 0.5}}, "phases must be a list"),
+            ({"plan": {"phases": "abc"}}, "phases must be a list"),
+            ({"plan": {"phases": [None]}}, "phases entries"),
+            ({"plan": {"phases": [float("nan")]}}, "phases entries"),
+            ({"plan": {"phases": [float("inf")]}}, "phases entries"),
+            ({"plan": {"phases": [10**400]}}, "phases entries"),
+            ({"plan": {"phases": [True]}}, "phases entries"),
+            ({"plan": {"input_states": 5}}, "input_states must be a list"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"noise": {"pair_rate": 10**400}}, "pair_rate"),
+            ({"noise": {"interval_s": float("inf")}}, "interval_s"),
         ],
     )
     def test_rejections_name_the_problem(self, data, fragment):
@@ -174,6 +185,11 @@ class TestCli:
         bad.write_text('{"seed": true, "noise": {"eta_p0": true}}')
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "counts.csv").exists()
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "counts.csv").exists()
 
     def test_reconstruct_missing_and_truncated_csv(self, tmp_path, capsys):

@@ -225,6 +225,33 @@ class TestSerialization:
         np.testing.assert_allclose(back, rho, atol=1e-14)
         assert meta["input_state"] == "-i"
 
+    def test_file_layout_is_pinned(self, tmp_path):
+        # Named metadata in order, extra keys sorted, then dim and row-major "re im" entries.
+        choi_path = tmp_path / "choi.txt"
+        save_choi(choi_path, ideal_choi(np.pi / 3), np.pi / 3, 57, -12345.678,
+                  success_probability="0.5", feed_forward=1)
+        assert choi_path.read_bytes().decode("utf-8") == (
+            "phase 1.0471975512\n"
+            "iterations 57\n"
+            "log_likelihood -12345.678\n"
+            "feed_forward 1\n"
+            "success_probability 0.5\n"
+            "dim 4\n"
+            "1 0\n0 0\n0 0\n0.5 -0.866025403784439\n"
+            "0 0\n0 0\n0 0\n0 0\n"
+            "0 0\n0 0\n0 0\n0 0\n"
+            "0.5 0.866025403784439\n0 0\n0 0\n1 1.48741681433375e-17\n"
+        )
+        state_path = tmp_path / "state.txt"
+        save_state(state_path, density("-i"), np.pi / 3, "-i", feed_forward=0)
+        assert state_path.read_bytes().decode("utf-8") == (
+            "phase 1.0471975512\n"
+            "input_state -i\n"
+            "feed_forward 0\n"
+            "dim 2\n"
+            "0.5 0\n0 0.5\n0 -0.5\n0.5 0\n"
+        )
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "choi.txt"
         save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0)
