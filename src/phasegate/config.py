@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -33,6 +34,10 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.feed_forward, bool):
             raise ConfigError(f"feed_forward must be a boolean, got {self.feed_forward!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
+        if not isinstance(self.emit, (list, tuple)):
+            raise ConfigError(f"emit must be a list, got {self.emit!r}")
         emit = tuple(self.emit)
         for item in emit:
             if item not in EMIT_CHOICES:
@@ -73,10 +78,6 @@ def run_config_from_dict(data: dict) -> RunConfig:
         kwargs["plan"] = _build_section(ExperimentPlan, kwargs["plan"], "plan")
     if "noise" in kwargs:
         kwargs["noise"] = _build_section(NoiseConfig, kwargs["noise"], "noise")
-    if "emit" in kwargs:
-        if not isinstance(kwargs["emit"], (list, tuple)):
-            raise ConfigError(f"emit must be a list, got {type(kwargs['emit']).__name__}")
-        kwargs["emit"] = tuple(kwargs["emit"])
     return RunConfig(**kwargs)
 
 

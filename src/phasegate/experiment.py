@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import pathlib
 import sys
 import zlib
 from dataclasses import dataclass
@@ -167,18 +168,10 @@ class ExperimentPlan:
         object.__setattr__(self, "phases", tuple(canonical_phase(p) for p in self.phases))
         if len(set(self.phases)) != len(self.phases):
             raise ConfigError("phases contains duplicates after canonicalization")
-        for s in self.input_states:
-            if s not in STATE_LABELS:
-                raise ConfigError(f"input_states entry {s!r} not in {STATE_LABELS}")
-        for b in self.bases:
-            if b not in BASIS_LABELS:
-                raise ConfigError(f"bases entry {b!r} not in {BASIS_LABELS}")
-        if len(self.input_states) == 0 or len(self.bases) == 0:
-            raise ConfigError("input_states and bases must be non-empty")
-        if len(set(self.input_states)) != len(self.input_states):
-            raise ConfigError("input_states contains duplicates")
-        if len(set(self.bases)) != len(self.bases):
-            raise ConfigError("bases contains duplicates")
+        for name, allowed in (("input_states", STATE_LABELS), ("bases", BASIS_LABELS)):
+            values = getattr(self, name)
+            if not values or not all(v in allowed for v in values) or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct entries of {allowed}, got {values!r}")
 
     @property
     def n_settings(self) -> int:
@@ -247,34 +240,32 @@ class CountTable:
 
         Raises :class:`DataFormatError` on a file that is not UTF-8, a
         bad header, no records or missing records.  A faulty row is
-        reported as the first faulty line, by its number.  Within one
-        line the checks run in this order: field count, phase, labels,
-        interval/count syntax, negative interval, bad count, interval
-        beyond int64, duplicate key.
+        reported as the first faulty line, by its number;
+        :func:`_first_fault` runs the checks of one line, in order.
         """
-        with open(path, "rb") as f:
-            raw = f.read()
         try:
-            text = raw.decode("utf-8")
+            text = pathlib.Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"count CSV is not UTF-8: {exc.reason} at byte {exc.start}") from None
-        del raw
         if "\r" in text:  # universal newlines, as text-mode reading applies them
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.rstrip("\n").split("\n")
         del text
         if lines[0] != CSV_HEADER:
             raise DataFormatError(f"bad count CSV header: expected {CSV_HEADER!r}, got {lines[0]!r}")
-        body = np.array(lines[1:], dtype=_STRING)
+        body = np.array(lines[1:], dtype=_STRING)  # blank lines included, so that line numbers hold
         del lines
-        row_line = np.flatnonzero(body != "") + 2  # line number of each record
-        if len(row_line) < len(body):
-            body = body[row_line - 2]
-        if len(body) == 0:
+
+        def rejection(missing=None):  # a faulty line is named before any missing records are counted
+            return DataFormatError(_first_fault(body) or f"count CSV is missing {missing} records"
+                                   " (index coverage incomplete)")
+
+        rows = body[body != ""] if (body == "").any() else body
+        if len(rows) == 0:
             raise DataFormatError("count CSV contains no records")
-        head, _, count_s = np.strings.rpartition(body, _COMMA)
+        head, _, count_s = np.strings.rpartition(rows, _COMMA)
         prefix, _, interval_s = np.strings.rpartition(head, _COMMA)
-        del head
+        del rows, head
 
         # Code each row by its first five fields; runs of equal prefixes are looked up once.
         runs = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
@@ -283,89 +274,85 @@ class CountTable:
         code = np.repeat(run_code, np.diff(runs, append=len(prefix)))
         del prefix, runs, run_code
 
-        # Validate each distinct prefix once, in order of first appearance.
-        phase_index: dict[str, int] = {}  # spelling -> index; spellings of one canonical phase share it
-        canonical: dict[float, int] = {}
-        states: list[str] = []
-        bases: list[str] = []
-        index: list[tuple] = []  # (phase, state, basis, det_p, det_d) indices of each prefix
-        fault = None
-        for u, p in enumerate(codes):
-            fields = p.split(",")
-            if len(fields) != 5:
-                fault = f"expected 7 fields, got {str(body[np.argmax(code == u)]).count(',') + 1}"
-                break
-            phase_s, state, basis, det_p, det_d = fields
-            if phase_s not in phase_index:
-                try:
-                    phi = float(phase_s)
-                except ValueError:
-                    phi = float("nan")
-                if not math.isfinite(phi):
-                    fault = f"bad phase {phase_s!r}"
-                    break
-                phase_index[phase_s] = canonical.setdefault(canonical_phase(phi), len(canonical))
-            fault = next((f"unknown {name} {v!r}" for v, (name, ok) in zip(fields[1:], _LABELS) if v not in ok), None)
-            if fault:
-                break
-            if state not in states:
-                states.append(state)
-            if basis not in bases:
-                bases.append(basis)
-            index.append((phase_index[phase_s], states.index(state), bases.index(basis),
-                          PROGRAM_DETECTORS.index(det_p), DATA_DETECTORS.index(det_d)))
-        del body
-        # Rows before `end` passed every check so far; each later check can only move `end` earlier.
-        end = int(np.argmax(code == u)) if fault else len(code)
-        code, interval_s, count_s = code[:end], interval_s[:end], count_s[:end]
-        shape = (len(canonical), len(states), len(bases), 2, 2)
-        setting = np.ravel_multi_index(np.array(index, dtype=np.intp).reshape(-1, 5).T, shape)[code]
-
+        # Index each distinct prefix once; phases, states and bases keep their order of first appearance.
+        canonical, states, bases = {}, {}, {}  # canonical phase, state, basis -> index
+        index = []  # (phase, state, basis, det_p, det_d) indices of each prefix
+        for p in codes:
+            phase_s, *labels = p.split(",")
+            if len(labels) != 4 or any(v not in ok for v, (_, ok) in zip(labels, _LABELS)):
+                raise rejection()
+            if (phi := _phase(phase_s)) is None:
+                raise rejection()
+            state, basis, det_p, det_d = labels
+            index.append((canonical.setdefault(phi, len(canonical)), states.setdefault(state, len(states)),
+                          bases.setdefault(basis, len(bases)), PROGRAM_DETECTORS.index(det_p),
+                          DATA_DETECTORS.index(det_d)))
         try:
             interval = interval_s.astype(np.int64)
             count = count_s.astype(np.float64)
-            good = (interval >= 0) & np.isfinite(count) & (count >= 0)
-            bad = end if good.all() else int(np.argmin(good))
         except (ValueError, OverflowError):
-            # Diagnosis only: name the first row that a row check rejects.
-            pairs = zip(interval_s.tolist(), count_s.tolist())
-            bad = next(r for r, pair in enumerate(pairs) if _row_fault(*pair))
-            interval = interval_s[:bad].astype(np.int64)
-        if bad < end:
-            end, fault = bad, _row_fault(interval_s[bad], count_s[bad])
-            interval, setting = interval[:end], setting[:end]
+            raise rejection() from None
+        if not ((interval >= 0) & np.isfinite(count) & (count >= 0)).all():
+            raise rejection()
 
-        order = np.lexsort((interval, setting))
-        repeats = order[1:][(np.diff(setting[order]) == 0) & (np.diff(interval[order]) == 0)]
-        if len(repeats):
-            end = int(repeats.min())
-            pi, si, bi, dp, dd = index[code[end]]
-            key = (pi, states[si], bases[bi], PROGRAM_DETECTORS[dp], DATA_DETECTORS[dd], int(interval[end]))
-            fault = f"duplicate record for {key}"
-        if fault:
-            raise DataFormatError(f"line {row_line[end]}: {fault}")
-
+        shape = (len(canonical), len(states), len(bases), 2, 2)
         n_intervals = int(interval.max()) + 1
-        missing = math.prod(shape) * n_intervals - len(interval)
+        missing = math.prod(shape) * n_intervals - len(count)
         if missing:
-            raise DataFormatError(f"count CSV is missing {missing} records (index coverage incomplete)")
-        counts = np.empty(len(interval))
+            raise rejection(missing)
+        # Coverage is exact, so every flat index lies below len(count), and a duplicate leaves a hole.
+        setting = np.ravel_multi_index(np.array(index, dtype=np.intp).T, shape)[code]
+        counts = np.full(len(count), np.nan)
         counts[setting * n_intervals + interval] = count
+        if np.isnan(counts).any():
+            raise rejection()
         return cls(tuple(canonical), tuple(states), tuple(bases), counts.reshape(shape + (n_intervals,)))
 
 
-def _row_fault(interval_s: str, count_s: str) -> str | None:
-    """What the row checks of :meth:`CountTable.from_csv` reject first in one record, if anything."""
+def _phase(s: str) -> float | None:
+    """The canonical phase that a CSV phase field spells, or None if it is no finite number."""
     try:
-        interval, count = int(interval_s), float(count_s)
+        phi = float(s)
     except ValueError:
-        return f"bad interval/count {interval_s!r},{count_s!r}"
-    if interval < 0:
-        return f"negative interval {interval}"
-    if not math.isfinite(count) or count < 0:
-        return f"bad count {count_s!r}"
-    if interval > np.iinfo(np.int64).max:
-        return f"interval {interval} out of range"
+        return None
+    return canonical_phase(phi) if math.isfinite(phi) else None
+
+
+def _first_fault(body) -> str | None:
+    """The first faulty line of a count CSV body (the lines after the header, blanks included), or None.
+
+    Each non-blank line is checked in this order: field count, phase,
+    labels, interval/count syntax, negative interval, bad count, interval
+    beyond int64, duplicate (phase, labels, interval) key.
+    """
+    phases: dict[float, int] = {}
+    keys: set[tuple] = set()
+    for lineno, line in enumerate(body.tolist(), start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            return f"line {lineno}: expected 7 fields, got {len(fields)}"
+        phase_s, *labels, interval_s, count_s = fields
+        if (phi := _phase(phase_s)) is None:
+            return f"line {lineno}: bad phase {phase_s!r}"
+        for v, (name, ok) in zip(labels, _LABELS):
+            if v not in ok:
+                return f"line {lineno}: unknown {name} {v!r}"
+        try:
+            interval, count = int(interval_s), float(count_s)
+        except ValueError:
+            return f"line {lineno}: bad interval/count {interval_s!r},{count_s!r}"
+        if interval < 0:
+            return f"line {lineno}: negative interval {interval}"
+        if not math.isfinite(count) or count < 0:
+            return f"line {lineno}: bad count {count_s!r}"
+        if interval > np.iinfo(np.int64).max:
+            return f"line {lineno}: interval {interval} out of range"
+        key = (phases.setdefault(phi, len(phases)), *labels, interval)
+        if key in keys:
+            return f"line {lineno}: duplicate record for {key}"
+        keys.add(key)
     return None
 
 

@@ -229,7 +229,8 @@ def collect_reports(out_dir: str):
     Each matrix is checked as it loads (Hermitian, PSD, trace), so a
     non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from file metadata when present, else the
-    nominal 1/2 or 1/4.  Metadata that is not a finite number, or a merit
+    nominal 1/2 or 1/4.  Metadata that is not a finite number, a state
+    file whose ``input_state`` is not the one its name says, or a merit
     figure outside [0, 1], raises :class:`DataFormatError` naming the file.
     """
     if not os.path.isdir(out_dir):
@@ -258,9 +259,12 @@ def collect_reports(out_dir: str):
             raise DataFormatError(f"{choi_path}: missing output-state files for {missing}")
         rhos = []
         for label in STATE_LABELS:
-            rho, smeta = load_state(states_here[label])
-            if abs(_meta_number(states_here[label], smeta, "phase") - phi) > 1e-9:
-                raise DataFormatError(f"{states_here[label]}: phase does not match {choi_path}")
+            path = states_here[label]
+            rho, smeta = load_state(path)
+            if abs(_meta_number(path, smeta, "phase") - phi) > 1e-9:
+                raise DataFormatError(f"{path}: phase does not match {choi_path}")
+            if smeta["input_state"] != label:
+                raise DataFormatError(f"{path}: input_state {smeta['input_state']!r} does not match the file name")
             rhos.append(rho)
         success = _meta_number(choi_path, meta, "success_probability", NOMINAL_SUCCESS[ff])
         try:

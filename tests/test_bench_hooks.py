@@ -1,12 +1,14 @@
-"""The benchmark in bench/ still finds every package name it hooks into or imports."""
+"""The benchmark in bench/ still finds every package name it hooks into, imports or calls."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = str(ROOT / "bench")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -27,3 +29,11 @@ def test_traced_names_resolve():
 @pytest.mark.parametrize("module", ["checks", "workloads", "selftest"])
 def test_bench_module_imports(module):
     importlib.import_module(module)
+
+
+def test_self_test_rejects_every_corruption():
+    # Runs the names selftest.py calls, so a signature change in the package fails here, not in the benchmark.
+    proc = subprocess.run([sys.executable, "bench/run_bench.py", "--self-test"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "10 of 10 cases as expected" in proc.stdout

@@ -64,6 +64,9 @@ class TestRunConfig:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"noise": {"pair_rate": 10**400}}, "pair_rate"),
             ({"noise": {"interval_s": float("inf")}}, "interval_s"),
+            ({"output_dir": 5}, "output_dir must be a path string"),
+            ({"output_dir": None}, "output_dir must be a path string"),
+            ({"emit": "counts"}, "emit must be a list"),
         ],
     )
     def test_rejections_name_the_problem(self, data, fragment):
@@ -187,6 +190,13 @@ class TestCli:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "counts.csv").exists()
 
+    @pytest.mark.parametrize("output_dir", [5, None])
+    def test_bad_output_dir_is_a_config_error(self, tmp_path, capsys, output_dir):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "output_dir": output_dir}))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert "output_dir must be a path string" in capsys.readouterr().err
+
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "seed must be a non-negative integer" in capsys.readouterr().err
@@ -256,6 +266,15 @@ class TestReportRejectsNonPhysicalFiles:
             save_state(path, matrix, 0.0, "+")
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()
+
+    def test_swapped_state_files_exit_3_naming_the_file(self, ideal_files, capsys):
+        plus, minus = ideal_files / "state_ff_p00_plus.txt", ideal_files / "state_ff_p00_minus.txt"
+        text = plus.read_text()
+        plus.write_text(minus.read_text())
+        minus.write_text(text)
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {plus}: input_state '-' does not match the file name")
         assert not (ideal_files / "report.csv").exists()
 
     @pytest.mark.parametrize(

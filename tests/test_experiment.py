@@ -502,6 +502,16 @@ class TestCountTableCsv:
         with pytest.raises(DataFormatError, match="missing 4000000000000000003 records"):
             CountTable.from_csv(path)
 
+    def test_duplicate_beside_a_missing_row_is_named(self, tmp_path):
+        # Four records for four keys: the coverage count is exact, yet D_p1,D_d1 is missing.
+        rows = ["0,0,Z,D_p0,D_d1,0,5", self.GOOD, "0,0,Z,D_p0,D_d1,0,6", "0,0,Z,D_p1,D_d0,0,5"]
+        assert self._rejection(tmp_path, rows) == "line 4: duplicate record for (0, '0', 'Z', 'D_p0', 'D_d1', 0)"
+
+    def test_far_interval_on_a_later_detector_pair_is_missing_coverage(self, tmp_path):
+        # Setting 1 times 2**62 + 1 intervals lies beyond int64, so no flat index may be built.
+        msg = self._rejection(tmp_path, [self.GOOD, f"0,0,Z,D_p0,D_d1,{2**62},5"])
+        assert msg == f"count CSV is missing {4 * (2**62 + 1) - 2} records (index coverage incomplete)"
+
     def test_interval_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text(CSV_HEADER + f"\n0,0,Z,D_p0,D_d0,0,5\n0,0,Z,D_p0,D_d0,{2**63},5\n")
@@ -545,6 +555,12 @@ class TestConfigValidation:
             ExperimentPlan(input_states=("0", "q"))
         with pytest.raises(ConfigError, match="duplicates"):
             ExperimentPlan(phases=(0.0, 2 * np.pi))
+
+    @pytest.mark.parametrize("field, good, other", [("input_states", "0", "Z"), ("bases", "Z", "0")])
+    def test_plan_label_lists_name_the_field(self, field, good, other):
+        for value in [(), (good, good), (other,), ([good],)]:
+            with pytest.raises(ConfigError, match=field):
+                ExperimentPlan(**{field: value})
 
     def test_calibrated_preset_values(self):
         noise = calibrated_noise()
