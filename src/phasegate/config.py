@@ -34,8 +34,8 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.feed_forward, bool):
             raise ConfigError(f"feed_forward must be a boolean, got {self.feed_forward!r}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)) or not os.fspath(self.output_dir):
+            raise ConfigError(f"output_dir must be a path string naming a directory, got {self.output_dir!r}")
         if not isinstance(self.emit, (list, tuple)):
             raise ConfigError(f"emit must be a list, got {self.emit!r}")
         emit = tuple(self.emit)

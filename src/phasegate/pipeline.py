@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .errors import ConvergenceError, DataFormatError
+from .errors import ConfigError, ConvergenceError, DataFormatError
 from .experiment import (
     CountTable,
     NoiseConfig,
@@ -55,9 +55,6 @@ _FILE_STATE_LABELS = {v: k for k, v in STATE_FILE_LABELS.items()}
 _CHOI_FILE_RE = re.compile(r"^choi_(ff|noff)_p(\d+)\.txt$")
 _STATE_FILE_RE = re.compile(r"^state_(ff|noff)_p(\d+)_(0|1|plus|minus|plusi|minusi)\.txt$")
 
-#: Nominal success probabilities, used only when a file lacks the measured value.
-NOMINAL_SUCCESS = {True: 0.5, False: 0.25}
-
 
 def variant_tag(feed_forward: bool) -> str:
     return "ff" if feed_forward else "noff"
@@ -87,7 +84,8 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
     """Full tomography pass over one count table.
 
     Without feed forward the D_p1 branch is discarded first; either way
-    counts are efficiency-rescaled before entering the likelihood.
+    counts are efficiency-rescaled before entering the likelihood.  A
+    usable fraction above 1 raises :class:`ConfigError` before any fit.
     """
     missing_bases = [b for b in BASIS_LABELS if b not in table.bases]
     if missing_bases:
@@ -95,6 +93,9 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
     analyzed = table if feed_forward else select_without_feedforward(table)
     rescaled = rescale_efficiencies(analyzed, noise)
     success = usable_fraction(rescaled, noise)
+    if success > 1.0:
+        raise ConfigError(f"usable fraction {success:.6g} is above 1: after division by the efficiencies eta_*, "
+                          "the table holds more events than pair_rate * interval_s pairs per setting and interval")
     processes = []
     output_states = []
     for pi in range(len(table.phases)):
@@ -209,9 +210,11 @@ def write_pipeline_artifacts(cfg: RunConfig, result: PipelineResult) -> list[str
     return written
 
 
-def _meta_number(path, meta, key: str, default: float | None = None) -> float:
-    """A finite number from file metadata, or ``default`` when the key is absent."""
-    raw = meta.get(key, default)
+def _meta_number(path, meta, key: str) -> float:
+    """A finite number from file metadata; the key must be present."""
+    if key not in meta:
+        raise DataFormatError(f"{path}: missing metadata key {key!r}")
+    raw = meta[key]
     try:
         value = float(raw)
     except ValueError:
@@ -228,10 +231,10 @@ def collect_reports(out_dir: str):
     index); every group needs its Choi matrix and all six output states.
     Each matrix is checked as it loads (Hermitian, PSD, trace), so a
     non-physical file raises :class:`DataFormatError` naming it.
-    Success probabilities come from file metadata when present, else the
-    nominal 1/2 or 1/4.  Metadata that is not a finite number, a state
-    file whose ``input_state`` is not the one its name says, or a merit
-    figure outside [0, 1], raises :class:`DataFormatError` naming the file.
+    Success probabilities come from ``success_probability`` in each Choi
+    file.  Missing or non-numeric metadata, a state file whose
+    ``input_state`` is not the one its name says, or a merit figure
+    outside [0, 1], raises :class:`DataFormatError` naming the file.
     """
     if not os.path.isdir(out_dir):
         raise DataFormatError(f"not a directory: {out_dir}")
@@ -266,7 +269,7 @@ def collect_reports(out_dir: str):
             if smeta["input_state"] != label:
                 raise DataFormatError(f"{path}: input_state {smeta['input_state']!r} does not match the file name")
             rhos.append(rho)
-        success = _meta_number(choi_path, meta, "success_probability", NOMINAL_SUCCESS[ff])
+        success = _meta_number(choi_path, meta, "success_probability")
         try:
             reports.append(merit_report(chi, rhos, phi, ff, success))
         except ValueError as exc:

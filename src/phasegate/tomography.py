@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,8 +58,6 @@ CHOI_DIM = 4
 PROB_FLOOR = 1e-12
 #: A fit stops once its certificate proves it within this many nats of the maximum likelihood.
 GAP_TOL = 1e-6
-#: Default of the optional early exit on the max-norm change of the iterate: off.
-UPDATE_TOL = 0.0
 #: Cap on the RrhoR steps of a fit with ``tol > 0``; with ``tol = 0`` a fit takes at most
 #: ``_WARMUP_STEPS + 2 * _FACTOR_STEPS`` steps.
 MAX_ITERS = 10**5
@@ -171,22 +169,6 @@ def apply_map(chi, rho_in) -> tuple[np.ndarray, float]:
     return raw / weight, weight
 
 
-def setting_probability(chi, s: TomographySetting) -> float:
-    """Born probability of one setting under the map, Tr[chi]-invariant.
-
-    ``p = Tr[chi (rho_in^T (x) pi_out)] / (Tr[chi]/2)``: dividing by the
-    trace (in units of the trace-2 convention) makes the result stable
-    under positive rescaling of ``chi``.  Over a complete output basis
-    the probabilities sum to the input's acceptance weight.
-    """
-    chi = np.asarray(chi, dtype=complex)
-    tr = float(np.trace(chi).real)
-    if tr <= 0.0:
-        raise ValueError(f"Choi matrix trace must be positive, got {tr:.3e}")
-    p = float(np.trace(chi @ s.operator).real) / (tr / 2.0)
-    return p
-
-
 @dataclass
 class ProcessReconstruction:
     """ML-estimated Choi matrix plus convergence diagnostics."""
@@ -196,20 +178,25 @@ class ProcessReconstruction:
     iterations: int
     #: The fit is certified, or as close as rounding allows (see ``stop_reason``).
     converged: bool
+    #: Total log-likelihood of the counts at ``choi``, in nats.
     log_likelihood: float
     #: Per-event normalized log-likelihood after each accepted iteration.
     log_likelihood_trace: np.ndarray
     #: Steps that would have lowered the likelihood: an RrhoR overshoot that ends the warm-up,
     #: or a Newton step that was damped.
     likelihood_decreases: int
-    #: max |Tr_out[chi] - I|: how far the estimate is from trace preserving.
-    trace_preservation_deviation: float
     #: Proven upper bound on ``max L - L(choi)``, in nats.
     certified_gap: float
     #: Why the fit stopped: one of :data:`STOP_REASONS`.
     stop_reason: str
     #: Of ``iterations``, the Newton steps on the factor that followed the RrhoR warm-up.
     newton_iterations: int
+
+    @property
+    def trace_preservation_deviation(self) -> float:
+        """max |Tr_out[chi] - I|: how far the estimate is from trace preserving."""
+        tr_out = np.einsum("ikjk->ij", self.choi.reshape(2, 2, 2, 2))
+        return float(np.max(np.abs(tr_out - np.eye(2))))
 
 
 @dataclass
@@ -220,10 +207,10 @@ class StateReconstruction:
     log_likelihood: float
     #: The estimate is pure (|r| = 1): it sits on the PSD boundary.
     on_boundary: bool
-    # The solve is exact; these mirror ProcessReconstruction's diagnostics.
-    iterations: int = 0
-    converged: bool = True
-    likelihood_decreases: int = 0
+    # The solve is exact; these constants mirror ProcessReconstruction's diagnostics.
+    iterations: ClassVar[int] = 0
+    converged: ClassVar[bool] = True
+    likelihood_decreases: ClassVar[int] = 0
 
 
 @functools.lru_cache(maxsize=16)
@@ -233,33 +220,22 @@ def _design_rank(flat_operators: bytes) -> int:
     return int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))
 
 
-#: ``certified``: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding
-#: error of the certificate itself, which exceeds GAP_TOL once N is above about 7e7 events.
-#: ``stalled``: the fit ended uncertified: its last Newton pass found no step that raises L
-#: or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.  ``max_iters``:
-#: reachable only under ``tol > 0``, where RrhoR took :data:`MAX_ITERS` steps.  ``step``: the
-#: caller's ``tol`` on the change of the iterate was met first, which proves nothing about the gap.
+#: Values of ``ProcessReconstruction.stop_reason``; the first two set ``converged``.  ``certified``:
+#: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding error of the certificate
+#: itself, which exceeds GAP_TOL once N is above about 7e7 events.  ``stalled``: the last Newton pass
+#: found no step that raises L or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.
+#: No pipeline fit sets ``tol``; only under it, ``max_iters``: RrhoR took :data:`MAX_ITERS` steps, and
+#: ``step``: the change of the iterate fell below ``tol`` first, which proves nothing about the gap.
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
-class _Fit(NamedTuple):
-    est: np.ndarray
-    iterations: int
-    converged: bool
-    #: Total (not per-event) log-likelihood.
-    log_likelihood: float
-    trace: np.ndarray
-    decreases: int
-    gap: float
-    stop_reason: str
-    newton_iterations: int
-
-
 @np.errstate(divide="ignore", invalid="ignore")
-def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float, tol: float = UPDATE_TOL) -> _Fit:
+def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float,
+                    tol: float = 0.0) -> ProcessReconstruction:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    Two stages, each stopped by the certificate ``gap``:
+    Returns a :class:`ProcessReconstruction` whose ``choi`` is the
+    ``dim x dim`` estimate.  Two stages, each stopped by the certificate ``gap``:
 
     1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
        steps, checking the gap every ``_CHECK_EVERY``.  It finds the
@@ -298,14 +274,13 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     keep = counts > 0.0
     weights = counts[keep] / n_total
     ops = np.asarray(operators)[keep]
-    # Both stacks stay fixed and act on matrices viewed as (re, im) float pairs:
-    # Tr[m E_k] = Re[vec(E_k^T) . vec(m)] for Hermitian m and E_k.
-    e_probe = np.ascontiguousarray(ops.transpose(0, 2, 1).conj()).reshape(len(ops), dim * dim).view(float)
+    # One fixed stack serves p_k and the gradient, acting on matrices viewed as (re, im) float
+    # pairs: its row k dotted with vec(m) is Re Tr[E_k^H m] = Re Tr[m E_k] for Hermitian m.
     e_build = np.ascontiguousarray(ops).reshape(len(ops), dim * dim).view(float)
 
     # Iterates keep Tr = trace_target, where p_k = Tr[m E_k] is linear in m.
     def probs(m):
-        return e_probe @ m.reshape(-1).view(float)
+        return e_build @ m.reshape(-1).view(float)
 
     def loglik(p):
         # nan or -inf where some p_k <= 0; callers accept a point only if ``loglik >= bound``.
@@ -425,11 +400,11 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         gap = certificate(r)
         reason = settled(gap) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
     converged = reason in ("certified", "rounding")
-    est = 0.5 * (est + est.conj().T)
-    return _Fit(est, iterations, converged, float(n_total * ll), np.asarray(trace), decreases, gap, reason,
-                iterations - newton_start)
+    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, converged, float(n_total * ll),
+                                 np.asarray(trace), decreases, gap, reason, iterations - newton_start)
 
-def ml_reconstruct_process(settings, tol: float = UPDATE_TOL) -> ProcessReconstruction:
+
+def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:
     """Maximum-likelihood Choi matrix from a list of :class:`TomographySetting`.
 
     Requires an informationally complete design (the operators must span
@@ -451,11 +426,7 @@ def ml_reconstruct_process(settings, tol: float = UPDATE_TOL) -> ProcessReconstr
         raise DataFormatError(
             f"measurement design is rank-deficient: spans {rank} of {CHOI_DIM * CHOI_DIM} dimensions"
         )
-    fit = _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol)
-    tr_out = np.einsum("ikjk->ij", fit.est.reshape(2, 2, 2, 2))
-    tp_dev = float(np.max(np.abs(tr_out - np.eye(2))))
-    return ProcessReconstruction(fit.est, fit.iterations, fit.converged, fit.log_likelihood, fit.trace,
-                                 fit.decreases, tp_dev, fit.gap, fit.stop_reason, fit.newton_iterations)
+    return _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.

@@ -190,12 +190,36 @@ class TestCli:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "counts.csv").exists()
 
-    @pytest.mark.parametrize("output_dir", [5, None])
-    def test_bad_output_dir_is_a_config_error(self, tmp_path, capsys, output_dir):
+    @pytest.mark.parametrize("output_dir", [5, None, ""], ids=["5", "None", "empty"])
+    def test_bad_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch, output_dir):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 1, "output_dir": output_dir}))
         assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
         assert "output_dir must be a path string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_accidentals_above_the_pair_rate_are_a_config_error(self, tmp_path, capsys):
+        # Dark counts far above the pair rate: 16.9 usable events per generated pair.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"pair_rate": 1.0, "dark_quad": 20000.0, "dark_single": 20000.0},
+                                    "plan": {"phases": [0.0]}, "seed": 1}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: usable fraction 16.9") and "pair_rate * interval_s" in err
+        assert not out.exists()
+
+    def test_reconstruct_with_efficiencies_the_counts_lack_is_a_config_error(self, tmp_path, capsys):
+        # Ideal counts read as if every detector had efficiency 1/2: usable fraction 0.5 / 0.25 = 2.
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"eta_p0": 0.5, "eta_d0": 0.5, "eta_d1": 0.5, "eta_p1": 0.5}}))
+        capsys.readouterr()
+        assert main(["reconstruct", str(out / "counts.csv"), "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: usable fraction 2")
+        assert [p.name for p in out.iterdir()] == ["counts.csv"]
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -236,7 +260,7 @@ class TestCli:
 @pytest.fixture()
 def ideal_files(tmp_path):
     """Choi and output-state files of the ideal gate at phi = 0, as ``report`` reads them."""
-    save_choi(tmp_path / "choi_ff_p00.txt", ideal_choi(0.0), 0.0, 1, 0.0)
+    save_choi(tmp_path / "choi_ff_p00.txt", ideal_choi(0.0), 0.0, 1, 0.0, success_probability=0.5)
     for label in STATE_LABELS:
         save_state(tmp_path / f"state_ff_p00_{STATE_FILE_LABELS[label]}.txt", density(label), 0.0, label)
     return tmp_path
@@ -266,6 +290,13 @@ class TestReportRejectsNonPhysicalFiles:
             save_state(path, matrix, 0.0, "+")
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()
+
+    def test_missing_success_probability_exits_3_naming_the_file(self, ideal_files, capsys):
+        path = ideal_files / "choi_ff_p00.txt"
+        save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0)
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: missing metadata key 'success_probability'")
         assert not (ideal_files / "report.csv").exists()
 
     def test_swapped_state_files_exit_3_naming_the_file(self, ideal_files, capsys):

@@ -127,8 +127,8 @@ class TestReconstructTable:
     def test_six_state_requirement_for_reports(self):
         # Four states are enough for the process ML but not for the report.
         plan = ExperimentPlan(phases=(0.0,), input_states=("0", "1", "+", "+i"))
-        table = simulate_counts(plan, ideal_noise(pair_rate=2000.0, n_intervals=1), 6)
-        rs = reconstruct_table(table, ideal_noise(), True)
+        noise = ideal_noise(pair_rate=2000.0, n_intervals=1)
+        rs = reconstruct_table(simulate_counts(plan, noise, 6), noise, True)
         with pytest.raises(DataFormatError, match="six-state"):
             reports_from_reconstruction(rs)
 

@@ -38,7 +38,7 @@ def certified_gap(rho, basis_counts):
 def reference(basis_counts):
     """The iterative estimator of the process fits (RrhoR, then Newton on a factor) on the same six projectors."""
     fit = _ml_fixed_point(OPERATORS, flat_counts(basis_counts), 2, 1.0)
-    return fit.est, fit.log_likelihood
+    return fit.choi, fit.log_likelihood
 
 
 def bloch(rho):
@@ -163,9 +163,9 @@ class TestExplicitCases:
         counts = {"Z": (168529.5, 0.5), "X": (0.0, 0.0), "Y": (0.0, 0.0)}
         fit = _ml_fixed_point(OPERATORS, flat_counts(counts), 2, 1.0)
         assert fit.converged and fit.stop_reason == "certified"
-        assert certified_gap(fit.est, counts) <= GAP_TOL
-        assert fit.est[1, 1].real == pytest.approx(0.5 / 168530.0, rel=1e-3)
-        assert np.all(np.diff(fit.trace) >= -1e-12)
+        assert certified_gap(fit.choi, counts) <= GAP_TOL
+        assert fit.choi[1, 1].real == pytest.approx(0.5 / 168530.0, rel=1e-3)
+        assert np.all(np.diff(fit.log_likelihood_trace) >= -1e-12)
 
     def test_diagnostics_fields(self):
         res = ml_reconstruct_state({b: (5.0, 5.0) for b in BASIS_LABELS})

@@ -1,5 +1,6 @@
 """Map application and ML reconstruction against closed-loop oracles."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -20,7 +21,6 @@ from phasegate.tomography import (
     require_psd,
     save_choi,
     save_state,
-    setting_probability,
     settings_for_phase,
 )
 
@@ -31,6 +31,12 @@ def random_density(rng):
     return rho / np.trace(rho).real
 
 
+def born_probability(chi, rho_in, pi_out):
+    """``Tr[chi E] / (Tr chi / 2)`` for the operator ``E`` of the setting (rho_in, pi_out)."""
+    operator = TomographySetting(rho_in, pi_out, 0.0).operator
+    return float(np.trace(chi @ operator).real) / (float(np.trace(chi).real) / 2.0)
+
+
 def exact_process_settings(chi_true, total=1e6):
     """Counts equal to their expected values under the true process."""
     settings = []
@@ -38,8 +44,7 @@ def exact_process_settings(chi_true, total=1e6):
         rho = density(label)
         for basis in BASIS_LABELS:
             for outcome in BASIS_OUTCOMES[basis]:
-                probe = TomographySetting(rho, projector(outcome), 0.0)
-                p = setting_probability(chi_true, probe)
+                p = born_probability(chi_true, rho, projector(outcome))
                 settings.append(TomographySetting(rho, projector(outcome), total * p))
     return settings
 
@@ -90,35 +95,21 @@ class TestApplyMap:
             apply_map(chi, density("1"))
 
 
-class TestSettingProbability:
-    def test_identity_plus_plus(self):
-        s = TomographySetting(density("+"), projector("+"), 0.0)
-        assert setting_probability(ideal_choi(0.0), s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_half_pi_maps_plus_to_plus_i(self):
-        s = TomographySetting(density("+"), projector("+i"), 0.0)
-        assert setting_probability(ideal_choi(np.pi / 2), s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_depolarized_process(self):
-        s = TomographySetting(density("0"), projector("-i"), 0.0)
-        assert setting_probability(np.eye(4) / 2, s) == pytest.approx(0.5, abs=1e-12)
-
-    def test_scale_invariant(self):
-        s = TomographySetting(density("-"), projector("1"), 0.0)
-        chi = ideal_choi(1.1)
-        assert setting_probability(17.0 * chi, s) == pytest.approx(
-            setting_probability(chi, s), abs=1e-12
-        )
-
-    def test_complete_basis_sums_to_acceptance(self):
-        rng = np.random.default_rng(32)
-        chi = ideal_choi(rng.uniform(0, 2 * np.pi))
-        for basis in BASIS_LABELS:
-            total = sum(
-                setting_probability(chi, TomographySetting(density("+i"), projector(out), 0.0))
-                for out in BASIS_OUTCOMES[basis]
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize(
+    "chi, state, outcomes, expected",
+    [
+        (ideal_choi(0.0), "+", ("+",), 1.0),
+        (ideal_choi(np.pi / 2), "+", ("+i",), 1.0),
+        (np.eye(4) / 2, "0", ("-i",), 0.5),
+        *[(ideal_choi(2.3), "+i", BASIS_OUTCOMES[b], 1.0) for b in BASIS_LABELS],
+    ],
+    ids=["phi_0_plus_to_plus", "phi_half_pi_plus_to_plus_i", "depolarizing_half",
+         *[f"basis_{b}_sums_to_1" for b in BASIS_LABELS]],
+)
+def test_setting_operator_convention(chi, state, outcomes, expected):
+    """``TomographySetting.operator`` is ``rho_in^T (x) pi_out`` in the input-first Choi convention."""
+    total = sum(born_probability(chi, density(state), projector(out)) for out in outcomes)
+    assert total == pytest.approx(expected, abs=1e-12)
 
 
 class TestProcessReconstruction:
@@ -153,6 +144,12 @@ class TestProcessReconstruction:
         assert result.iterations < 10**5
         steps = np.diff(result.log_likelihood_trace)
         assert np.all(steps >= -1e-12)
+
+    def test_trace_deviation_follows_a_replaced_choi(self):
+        fit = ml_reconstruct_process(exact_process_settings(ideal_choi(0.3), total=2e4))
+        moved = dataclasses.replace(fit, choi=np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
+        # Tr_out of the new matrix is diag(2, 0), one away from the identity in max norm.
+        assert moved.trace_preservation_deviation == 1.0
 
     def test_single_setting_rank_deficient(self):
         s = TomographySetting(density("0"), projector("0"), 100.0)
@@ -323,6 +320,8 @@ class TestValidation:
         assert len(settings) == 36
         for s in settings:
             np.testing.assert_array_equal(s.operator, np.kron(s.rho_in.T, s.pi_out))
+            # Exactly Hermitian, so the fit's one stack of rows vec(E_k) gives Re Tr[E_k^H m] = Tr[m E_k] bit for bit.
+            np.testing.assert_array_equal(s.operator, s.operator.conj().T)
             assert not (s.operator.flags.writeable or s.rho_in.flags.writeable)
         # Only the design's own arrays skip validation; a modified copy does not.
         with pytest.raises(ValueError, match="trace"):
