@@ -46,14 +46,14 @@ def _emit_list(value: str) -> tuple[str, ...]:
     return items
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    p.add_argument("--seed", type=int, help="simulation seed (overrides config)")
-    p.add_argument("--no-feed-forward", action="store_true",
-                   help="analyze only the uncorrected D_p0 branch")
-    p.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    p.add_argument("--emit", type=_emit_list, metavar="LIST",
-                   help=f"comma-separated subset of {','.join(EMIT_CHOICES)}")
+#: Every option flag with its argparse settings; each subcommand takes the ones :data:`_COMMANDS` lists.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="JSON run configuration"),
+    "--seed": dict(type=int, help="simulation seed (overrides config)"),
+    "--no-feed-forward": dict(action="store_true", help="analyze only the uncorrected D_p0 branch"),
+    "--out": dict(dest="output_dir", metavar="DIR", help="output directory (default from config)"),
+    "--emit": dict(type=_emit_list, metavar="LIST", help=f"comma-separated subset of {','.join(EMIT_CHOICES)}"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,32 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Programmable phase gate: coincidence simulation, process tomography, merit reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a coincidence-count CSV")
-    _add_common_flags(p_sim)
-
-    p_rec = sub.add_parser("reconstruct", help="ML tomography from a counts CSV")
-    p_rec.add_argument("counts", metavar="COUNTS_CSV", help="count table to reconstruct from")
-    _add_common_flags(p_rec)
-
-    p_rep = sub.add_parser("report", help="merit tables from reconstructed files")
-    _add_common_flags(p_rep)
-
-    p_pipe = sub.add_parser("pipeline", help="simulate, reconstruct and report in one run")
-    _add_common_flags(p_pipe)
+    for command, (_, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if command == "reconstruct":
+            p.add_argument("counts", metavar="COUNTS_CSV", help="count table to reconstruct from")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file's run configuration, overridden by the flags this subcommand takes."""
+    opts = vars(args)
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if args.no_feed_forward:
+    if opts.get("no_feed_forward"):
         cfg = cfg.replace(feed_forward=False)
-    if args.out is not None:
-        cfg = cfg.replace(output_dir=args.out)
-    if args.emit is not None:
-        cfg = cfg.replace(emit=args.emit)
+    for field in ("seed", "output_dir", "emit"):
+        if opts.get(field) is not None:
+            cfg = cfg.replace(**{field: opts[field]})
     return cfg
 
 
@@ -134,18 +126,20 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+#: Each subcommand's handler, help line and the option flags it reads.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "reconstruct": _cmd_reconstruct,
-    "report": _cmd_report,
-    "pipeline": _cmd_pipeline,
+    "simulate": (_cmd_simulate, "generate a coincidence-count CSV", ("--config", "--seed", "--out")),
+    "reconstruct": (_cmd_reconstruct, "ML tomography from a counts CSV",
+                    ("--config", "--no-feed-forward", "--out", "--emit")),
+    "report": (_cmd_report, "merit tables from reconstructed files", ("--config", "--out")),
+    "pipeline": (_cmd_pipeline, "simulate, reconstruct and report in one run", tuple(_FLAGS)),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -99,22 +99,6 @@ class NoiseConfig:
         if not (isinstance(self.n_intervals, int) and self.n_intervals >= 1):
             raise ConfigError(f"n_intervals must be an integer >= 1, got {self.n_intervals!r}")
 
-    @property
-    def eta_program(self) -> tuple[float, float]:
-        return (self.eta_p0, self.eta_p1)
-
-    @property
-    def eta_data(self) -> tuple[float, float]:
-        return (self.eta_d0, self.eta_d1)
-
-    @property
-    def dark_program(self) -> tuple[float, float]:
-        return (self.dark_quad, self.dark_single)
-
-    @property
-    def dark_data(self) -> tuple[float, float]:
-        return (self.dark_quad, self.dark_quad)
-
     def replace(self, **changes) -> "NoiseConfig":
         return dataclasses.replace(self, **changes)
 
@@ -368,8 +352,8 @@ def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
     Returns ``(probs, total_rate)``: ``probs`` is the 2x2 array over
     (program_detector, data_detector), normalized to sum 1, and
     ``total_rate`` the pre-normalization coincidence rate in counts per
-    second (signal plus accidentals).  An array ``phi`` of shape ``(k,)``
-    gives shapes ``(k, 2, 2)`` and ``(k,)``.
+    second (signal plus accidentals).  ``total_rate`` has the shape of
+    ``phi``, 0-d for a scalar phase, and ``probs`` that shape + ``(2, 2)``.
 
     The feed forward leaves both program branches, each taken with
     probability 1/2, in the gate output ``(alpha, beta e^{i phi})``, whose
@@ -388,40 +372,38 @@ def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
     else:
         r = 2.0 * (rho10.real if basis == "X" else rho10.imag)
     q = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)[..., None, :]
-    signal = noise.pair_rate * POSTSELECTION_PROBABILITY * 0.5 * np.outer(noise.eta_program, noise.eta_data)
-    dark = np.outer(noise.dark_program, noise.dark_data) * noise.coincidence_window
+    eta = np.outer((noise.eta_p0, noise.eta_p1), (noise.eta_d0, noise.eta_d1))  # (program, data)
+    signal = noise.pair_rate * POSTSELECTION_PROBABILITY * 0.5 * eta
+    dark = np.outer((noise.dark_quad, noise.dark_single), (noise.dark_quad, noise.dark_quad)) * noise.coincidence_window
     rate = signal * q + dark
     total_rate = rate.sum(axis=(-2, -1))
     total = total_rate[..., None, None]
     # Degenerate configs (zero pair rate and zero darks) still need a distribution.
     probs = np.divide(rate, total, out=np.full(rate.shape, 0.25), where=total > 0.0)
-    return probs, (float(total_rate) if phi.ndim == 0 else total_rate)
-
-
-def setting_seed(seed: int, phase_index: int, state_index: int, basis_index: int) -> np.random.SeedSequence:
-    """Derived sub-seed so settings can be sampled in any order or in parallel."""
-    return np.random.SeedSequence((int(seed), _STAGE_SIMULATE, phase_index, state_index, basis_index))
+    return probs, total_rate
 
 
 def simulate_counts(plan: ExperimentPlan, noise: NoiseConfig, seed: int) -> CountTable:
     """Draw a full synthetic coincidence dataset; deterministic in ``seed``.
 
-    Each setting draws from its own stream (:func:`setting_seed`), in this
-    order: one Gaussian phase jitter per interval, then one Poisson total
-    per interval with mean ``total_rate * interval_s`` at the jittered
-    phase, then one multinomial split of each total over the four
-    detector pairs.
+    Each setting has its own generator, seeded by ``(seed, stage, phase
+    index, state index, basis index)``, and draws one Gaussian phase jitter
+    per interval, then one Poisson total per interval with mean
+    ``total_rate * interval_s`` at the jittered phase, then one multinomial
+    split of each total over the four detector pairs.  One
+    :func:`outcome_probabilities` call per (state, basis) pair serves the
+    settings of every phase.
     """
     shape = (len(plan.phases), len(plan.input_states), len(plan.bases), 2, 2, noise.n_intervals)
     counts = np.zeros(shape, dtype=float)
-    for pi, phi in enumerate(plan.phases):
-        for si, label in enumerate(plan.input_states):
-            for bi, basis in enumerate(plan.bases):
-                rng = np.random.default_rng(setting_seed(seed, pi, si, bi))
-                phi_t = phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals)
-                probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
-                n = rng.poisson(total_rate * noise.interval_s)
-                counts[pi, si, bi] = rng.multinomial(n, probs.reshape(-1, 4)).T.reshape(2, 2, -1)
+    for si, label in enumerate(plan.input_states):
+        for bi, basis in enumerate(plan.bases):
+            rngs = [np.random.default_rng((int(seed), _STAGE_SIMULATE, pi, si, bi)) for pi in range(len(plan.phases))]
+            phi_t = [phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals) for phi, rng in zip(plan.phases, rngs)]
+            probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
+            for pi, rng in enumerate(rngs):
+                n = rng.poisson(total_rate[pi] * noise.interval_s)
+                counts[pi, si, bi] = rng.multinomial(n, probs[pi].reshape(-1, 4)).T.reshape(2, 2, -1)
     return CountTable(plan.phases, plan.input_states, plan.bases, counts)
 
 
@@ -434,7 +416,7 @@ def rescale_efficiencies(counts: CountTable, noise: NoiseConfig) -> CountTable:
     for name in ("eta_p0", "eta_p1", "eta_d0", "eta_d1"):
         if getattr(noise, name) <= 0.0:
             raise ConfigError(f"{name} must be positive to rescale counts, got {getattr(noise, name)!r}")
-    weight = np.outer(noise.eta_program, noise.eta_data)  # (program, data)
+    weight = np.outer((noise.eta_p0, noise.eta_p1), (noise.eta_d0, noise.eta_d1))  # (program, data)
     rescaled = counts.counts / weight[None, None, None, :, :, None]
     return CountTable(counts.phases, counts.input_states, counts.bases, rescaled)
 

@@ -224,6 +224,12 @@ def _meta_number(path, meta, key: str) -> float:
     return value
 
 
+def _require_variant(path, meta, feed_forward: bool) -> None:
+    """A file's ``feed_forward`` metadata must be its name's tag: 1 for ``ff``, 0 for ``noff``."""
+    if _meta_number(path, meta, "feed_forward") != feed_forward:
+        raise DataFormatError(f"{path}: feed_forward {meta['feed_forward']} does not match the file name")
+
+
 def collect_reports(out_dir: str):
     """Rebuild merit rows from the choi/state files in a directory.
 
@@ -232,9 +238,10 @@ def collect_reports(out_dir: str):
     Each matrix is checked as it loads (Hermitian, PSD, trace), so a
     non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from ``success_probability`` in each Choi
-    file.  Missing or non-numeric metadata, a state file whose
-    ``input_state`` is not the one its name says, or a merit figure
-    outside [0, 1], raises :class:`DataFormatError` naming the file.
+    file.  Missing or non-numeric metadata, a file whose ``feed_forward``
+    or a state file whose ``input_state`` is not the one its name says,
+    or a merit figure outside [0, 1], raises :class:`DataFormatError`
+    naming the file.
     """
     if not os.path.isdir(out_dir):
         raise DataFormatError(f"not a directory: {out_dir}")
@@ -255,6 +262,7 @@ def collect_reports(out_dir: str):
     warnings = []
     for (ff, pi), choi_path in sorted(choi_files.items()):
         chi, meta = load_choi(choi_path)
+        _require_variant(choi_path, meta, ff)
         phi = _meta_number(choi_path, meta, "phase")
         states_here = state_files.get((ff, pi), {})
         missing = [s for s in STATE_LABELS if s not in states_here]
@@ -264,6 +272,7 @@ def collect_reports(out_dir: str):
         for label in STATE_LABELS:
             path = states_here[label]
             rho, smeta = load_state(path)
+            _require_variant(path, smeta, ff)
             if abs(_meta_number(path, smeta, "phase") - phi) > 1e-9:
                 raise DataFormatError(f"{path}: phase does not match {choi_path}")
             if smeta["input_state"] != label:

@@ -51,9 +51,9 @@ def as_state(state) -> np.ndarray:
     return v
 
 
-def require_normalized(v: np.ndarray, atol: float = NORM_ATOL) -> np.ndarray:
+def require_normalized(v: np.ndarray) -> np.ndarray:
     n = float(np.vdot(v, v).real)
-    if abs(n - 1.0) > atol:
+    if abs(n - 1.0) > NORM_ATOL:
         raise ValueError(f"state is not normalized: |psi|^2 = {n!r}")
     return v
 

@@ -176,9 +176,22 @@ class TestCli:
         assert all(abs(r.success_probability - 0.25) < 0.02 for r in rows)
 
     def test_unknown_emit_entry(self, tmp_path, capsys):
-        code = main(["simulate", "--seed", "1", "--out", str(tmp_path), "--emit", "verything"])
+        code = main(["pipeline", "--seed", "1", "--out", str(tmp_path), "--emit", "verything"])
         assert code == EXIT_CONFIG
         assert "verything" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("simulate", "--no-feed-forward"), ("simulate", "--emit counts"), ("reconstruct", "--seed 1"),
+         ("report", "--seed 1"), ("report", "--no-feed-forward"), ("report", "--emit report")],
+    )
+    def test_subcommands_reject_flags_they_ignore(self, tmp_path, capsys, command, flag):
+        args = [command, *(["counts.csv"] if command == "reconstruct" else []), "--out", str(tmp_path), *flag.split()]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -260,9 +273,10 @@ class TestCli:
 @pytest.fixture()
 def ideal_files(tmp_path):
     """Choi and output-state files of the ideal gate at phi = 0, as ``report`` reads them."""
-    save_choi(tmp_path / "choi_ff_p00.txt", ideal_choi(0.0), 0.0, 1, 0.0, success_probability=0.5)
+    save_choi(tmp_path / "choi_ff_p00.txt", ideal_choi(0.0), 0.0, 1, 0.0, feed_forward=1, success_probability=0.5)
     for label in STATE_LABELS:
-        save_state(tmp_path / f"state_ff_p00_{STATE_FILE_LABELS[label]}.txt", density(label), 0.0, label)
+        save_state(tmp_path / f"state_ff_p00_{STATE_FILE_LABELS[label]}.txt", density(label), 0.0, label,
+                   feed_forward=1)
     return tmp_path
 
 
@@ -294,7 +308,7 @@ class TestReportRejectsNonPhysicalFiles:
 
     def test_missing_success_probability_exits_3_naming_the_file(self, ideal_files, capsys):
         path = ideal_files / "choi_ff_p00.txt"
-        save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0)
+        save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0, feed_forward=1)
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: missing metadata key 'success_probability'")
         assert not (ideal_files / "report.csv").exists()
@@ -319,9 +333,23 @@ class TestReportRejectsNonPhysicalFiles:
     def test_malformed_metadata_exits_3_naming_the_file(self, ideal_files, capsys, name, fragment):
         path = ideal_files / name
         if name.startswith("choi"):
-            save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0, success_probability=1.5)
+            save_choi(path, ideal_choi(0.0), 0.0, 1, 0.0, feed_forward=1, success_probability=1.5)
         else:
             path.write_text(path.read_text().replace("phase 0\n", "phase zero\n"))
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()
+
+    @pytest.mark.parametrize("name", ["choi_ff_p00.txt", "state_ff_p00_plus.txt"])
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [(lambda t: t.replace("feed_forward 1\n", "feed_forward 0\n"), "feed_forward 0 does not match the file name"),
+         (lambda t: t.replace("feed_forward 1\n", ""), "missing metadata key 'feed_forward'")],
+        ids=["noff_value", "missing"],
+    )
+    def test_feed_forward_metadata_must_match_the_file_name(self, ideal_files, capsys, name, edit, fragment):
+        path = ideal_files / name
+        path.write_text(edit(path.read_text()))
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
         assert not (ideal_files / "report.csv").exists()

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from phasegate import experiment
 from phasegate.errors import ConfigError, DataFormatError
 from phasegate.experiment import (
     CSV_HEADER,
@@ -90,6 +92,26 @@ def row_by_row(path):
     if np.isnan(counts).any():
         return f"count CSV is missing {np.isnan(counts).sum()} records (index coverage incomplete)"
     return CountTable(tuple(phases), tuple(states), tuple(bases), counts)
+
+
+def per_setting_reference(plan, noise, seed):
+    """Rebuild a dataset setting by setting from the documented stream contract.
+
+    Setting (phase pi, state si, basis bi) draws from
+    ``default_rng((seed, crc32(b"simulate"), pi, si, bi))``: the phase
+    jitter of every interval, then the Poisson totals, then the
+    multinomial split of each total, with one probability call per setting.
+    """
+    counts = np.zeros((len(plan.phases), len(plan.input_states), len(plan.bases), 2, 2, noise.n_intervals))
+    for pi, phi in enumerate(plan.phases):
+        for si, label in enumerate(plan.input_states):
+            for bi, basis in enumerate(plan.bases):
+                rng = np.random.default_rng((seed, zlib.crc32(b"simulate"), pi, si, bi))
+                phi_t = phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals)
+                probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
+                n = rng.poisson(total_rate * noise.interval_s)
+                counts[pi, si, bi] = rng.multinomial(n, probs.reshape(-1, 4)).T.reshape(2, 2, -1)
+    return counts
 
 
 class TestOutcomeProbabilities:
@@ -177,6 +199,25 @@ class TestSimulateCounts:
         np.testing.assert_array_equal(a.counts, b.counts)
         c = simulate_counts(plan, noise, 43)
         assert np.any(a.counts != c.counts)
+
+    @pytest.mark.parametrize(
+        "plan, noise",
+        [(ExperimentPlan(), calibrated_noise()),
+         (ExperimentPlan(phases=(np.pi, 0.3), input_states=("+i", "0"), bases=("Y", "Z")), calibrated_noise()),
+         (ExperimentPlan(), calibrated_noise(pair_rate=0.0))],
+        ids=["default", "reordered_subset", "pair_rate_0"],
+    )
+    def test_matches_per_setting_stream_reference(self, plan, noise):
+        assert np.array_equal(simulate_counts(plan, noise, 11).counts, per_setting_reference(plan, noise, 11))
+        _, total_rate = outcome_probabilities("+", 0.3, "X", noise)
+        assert float(total_rate) == total_rate
+
+    def test_one_probability_call_per_state_and_basis(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "outcome_probabilities",
+                            lambda *args: calls.append(args) or outcome_probabilities(*args))
+        simulate_counts(ExperimentPlan(), calibrated_noise(), 11)
+        assert len(calls) == len(STATE_LABELS) * len(BASIS_LABELS) == 18
 
     def test_noiseless_wrong_port_is_empty(self):
         plan = ExperimentPlan(phases=(0.0,), input_states=("+",), bases=("X",))
