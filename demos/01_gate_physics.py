@@ -42,7 +42,7 @@ print(f"joint state     : {joint}   (kept with probability {POSTSELECTION_PROBAB
 for outcome in ProgramOutcome:
     branch, prob = measure_program(joint, outcome)
     corrected = feed_forward_correct(branch, outcome)
-    print(f"{outcome.detector}: p = {prob:.4f}, branch = {branch}, corrected = {corrected}")
+    print(f"{outcome.value}: p = {prob:.4f}, branch = {branch}, corrected = {corrected}")
 
 # 4. both corrected branches reproduce U(phi)|psi_in> exactly
 target = ideal_output(psi_in, phi)
@@ -51,7 +51,7 @@ for outcome in ProgramOutcome:
     branch, _ = measure_program(joint, outcome)
     corrected = feed_forward_correct(branch, outcome)
     overlap = abs(np.vdot(target, corrected))
-    print(f"|<ideal|{outcome.detector}_corrected>| = {overlap:.12f}")
+    print(f"|<ideal|{outcome.value}_corrected>| = {overlap:.12f}")
 
 # 5. the success accounting: keeping only D_p0 wastes half the kept events
 print(f"\nsuccess with feed forward    : {POSTSELECTION_PROBABILITY * 1.0:.2f}")

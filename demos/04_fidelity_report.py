@@ -7,6 +7,7 @@ output-state fidelities and purities, and the measured success
 probability, side by side for the two analyses.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -34,7 +35,7 @@ print(f"success probability: {success[True]:.3f} with feed forward, "
 # 4. everything lands on disk for downstream tools; here in a temporary
 #    directory that is removed at the end of the block
 with tempfile.TemporaryDirectory(prefix="phasegate_demo_") as tmp:
-    written = write_pipeline_artifacts(cfg.replace(output_dir=tmp), result)
+    written = write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=tmp), result)
     print(f"\nwrote {len(written)} files:")
     for name in sorted(Path(p).name for p in written)[:8]:
         print(f"  {name}")

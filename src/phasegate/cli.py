@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 data-format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -76,10 +77,10 @@ def _config_from_args(args) -> RunConfig:
     opts = vars(args)
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if opts.get("no_feed_forward"):
-        cfg = cfg.replace(feed_forward=False)
+        cfg = dataclasses.replace(cfg, feed_forward=False)
     for field in ("seed", "output_dir", "emit"):
         if opts.get(field) is not None:
-            cfg = cfg.replace(**{field: opts[field]})
+            cfg = dataclasses.replace(cfg, **{field: opts[field]})
     return cfg
 
 

@@ -52,33 +52,19 @@ class RunConfig:
             raise ConfigError("seed is required for simulation; set it in the config or pass --seed")
         return self.seed
 
-    def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
 
-
-def _build_section(cls, data: dict, section: str):
+def _build(cls, data, section: str, **sections):
+    """``cls(**data)`` once every key of ``data`` is a field of ``cls``; ``sections`` maps keys to nested classes."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{section} must be an object of field overrides, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+        raise ConfigError(f"{section} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
-    return cls(**data)
+    return cls(**{**data, **{key: _build(sub, data[key], key) for key, sub in sections.items() if key in data}})
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = dict(data)
-    if "plan" in kwargs:
-        kwargs["plan"] = _build_section(ExperimentPlan, kwargs["plan"], "plan")
-    if "noise" in kwargs:
-        kwargs["noise"] = _build_section(NoiseConfig, kwargs["noise"], "noise")
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "config", plan=ExperimentPlan, noise=NoiseConfig)
 
 
 def load_run_config(path) -> RunConfig:

@@ -99,13 +99,10 @@ class NoiseConfig:
         if not (isinstance(self.n_intervals, int) and self.n_intervals >= 1):
             raise ConfigError(f"n_intervals must be an integer >= 1, got {self.n_intervals!r}")
 
-    def replace(self, **changes) -> "NoiseConfig":
-        return dataclasses.replace(self, **changes)
-
 
 def ideal_noise(**overrides) -> NoiseConfig:
     """Loss-free, dark-free, perfectly stable configuration."""
-    return NoiseConfig().replace(**overrides)
+    return NoiseConfig(**overrides)
 
 
 def calibrated_noise(**overrides) -> NoiseConfig:
@@ -126,7 +123,7 @@ def calibrated_noise(**overrides) -> NoiseConfig:
         visibility=0.95,
         phase_sigma=np.pi / 200,
     )
-    return cfg.replace(**overrides)
+    return dataclasses.replace(cfg, **overrides)
 
 
 @dataclass(frozen=True)
@@ -156,10 +153,6 @@ class ExperimentPlan:
             values = getattr(self, name)
             if not values or not all(v in allowed for v in values) or len(set(values)) != len(values):
                 raise ConfigError(f"{name} must be distinct entries of {allowed}, got {values!r}")
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.phases) * len(self.input_states) * len(self.bases)
 
 
 @dataclass
@@ -196,10 +189,6 @@ class CountTable:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def setting_counts(self, phase_index: int, state_index: int, basis_index: int) -> np.ndarray:
-        """Interval-summed 2x2 (program, data) block for one setting."""
-        return self.counts[phase_index, state_index, basis_index].sum(axis=2)
-
     def to_csv(self, path) -> None:
         keys = itertools.product(
             [f"{phi:.12g}" for phi in self.phases], self.input_states, self.bases, PROGRAM_DETECTORS, DATA_DETECTORS
@@ -214,9 +203,10 @@ class CountTable:
     def from_csv(cls, path) -> "CountTable":
         """Read a UTF-8 count CSV with the :data:`CSV_HEADER` columns.
 
-        Rows may come in any order.  Blank lines are skipped, and CRLF or
-        CR line endings read as LF.  Spellings of one phase modulo 2*pi
-        (``0``, ``0.0``, ``6.283185307179586``) merge into one phase.
+        Rows may come in any order.  Blank lines and a leading byte-order
+        mark are skipped, and CRLF or CR line endings read as LF.
+        Spellings of one phase modulo 2*pi (``0``, ``0.0``,
+        ``6.283185307179586``) merge into one phase.
         Phases, input states and bases keep the order in which they first
         appear.  Intervals and counts are read as Python's ``int`` and
         ``float`` read them.  Each (phase, state, basis, detector pair)
@@ -231,6 +221,7 @@ class CountTable:
             text = pathlib.Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"count CSV is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        text = text.removeprefix("\ufeff")  # the byte-order mark that Excel writes
         if "\r" in text:  # universal newlines, as text-mode reading applies them
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.rstrip("\n").split("\n")

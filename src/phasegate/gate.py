@@ -36,15 +36,10 @@ _TWO_PI = 2.0 * np.pi
 
 
 class ProgramOutcome(enum.Enum):
-    """Result of the program-qubit measurement in the ``|+->`` basis."""
+    """Result of the program-qubit measurement in the ``|+->`` basis; the value is its detector label."""
 
     PLUS = "D_p0"
     MINUS = "D_p1"
-
-    @property
-    def detector(self) -> str:
-        """Detector label used in count tables and CSV files."""
-        return self.value
 
     @property
     def sign(self) -> int:

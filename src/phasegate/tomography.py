@@ -176,8 +176,6 @@ class ProcessReconstruction:
     choi: np.ndarray
     #: RrhoR and Newton steps taken, those of a discarded Newton pass included.
     iterations: int
-    #: The fit is certified, or as close as rounding allows (see ``stop_reason``).
-    converged: bool
     #: Total log-likelihood of the counts at ``choi``, in nats.
     log_likelihood: float
     #: Per-event normalized log-likelihood after each accepted iteration.
@@ -191,6 +189,11 @@ class ProcessReconstruction:
     stop_reason: str
     #: Of ``iterations``, the Newton steps on the factor that followed the RrhoR warm-up.
     newton_iterations: int
+
+    @property
+    def converged(self) -> bool:
+        """The fit is certified, or as close as rounding allows (see ``stop_reason``)."""
+        return self.stop_reason in ("certified", "rounding")
 
     @property
     def trace_preservation_deviation(self) -> float:
@@ -399,8 +402,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     if reason in (None, "step"):
         gap = certificate(r)
         reason = settled(gap) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
-    converged = reason in ("certified", "rounding")
-    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, converged, float(n_total * ll),
+    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, float(n_total * ll),
                                  np.asarray(trace), decreases, gap, reason, iterations - newton_start)
 
 
@@ -590,13 +592,9 @@ def settings_for_phase(counts_table, phase_index: int):
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):
-    """Per-basis outcome counts for one (phase, input state), branches summed."""
-    out = {}
-    for bi, basis in enumerate(counts_table.bases):
-        block = counts_table.setting_counts(phase_index, state_index, bi)
-        per_detector = block.sum(axis=0)
-        out[basis] = (float(per_detector[0]), float(per_detector[1]))
-    return out
+    """Per-basis outcome counts for one (phase, input state): intervals summed, then branches."""
+    per_detector = counts_table.counts[phase_index, state_index].sum(axis=3).sum(axis=1)  # (basis, data detector)
+    return {basis: (n0, n1) for basis, (n0, n1) in zip(counts_table.bases, per_detector.tolist())}
 
 
 def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, **extra) -> None:
@@ -645,24 +643,20 @@ def _save_matrix_file(path, m, dim: int, extra: dict, **head) -> None:
 def _load_matrix_file(path, dim: int, keys, what: str, trace: float | None):
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    meta = {}
-    i = 0
+    i = next((i for i, line in enumerate(lines) if line.startswith("dim ")), len(lines))
+    meta = dict(line.partition(" ")[::2] for line in lines[:i])
+    if i == len(lines):
+        raise DataFormatError(f"{path}: missing 'dim' line")
+    entries = lines[i + 1 :]
     try:
-        while i < len(lines) and not lines[i].startswith("dim "):
-            key, _, value = lines[i].partition(" ")
-            meta[key] = value
-            i += 1
-        if i == len(lines):
-            raise DataFormatError(f"{path}: missing 'dim' line")
         declared = int(lines[i].split()[1])
-        if declared != dim:
-            raise DataFormatError(f"{path}: expected dim {dim}, got {declared}")
-        entries = lines[i + 1 :]
-        if len(entries) != dim * dim:
-            raise DataFormatError(f"{path}: expected {dim * dim} entries after 'dim', found {len(entries)}")
         values = [complex(float(a), float(b)) for a, b in (e.split() for e in entries)]
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"{path}: malformed matrix file ({exc})") from exc
+    if declared != dim:
+        raise DataFormatError(f"{path}: expected dim {dim}, got {declared}")
+    if len(entries) != dim * dim:
+        raise DataFormatError(f"{path}: expected {dim * dim} entries after 'dim', found {len(entries)}")
     for k in keys:
         if k not in meta:
             raise DataFormatError(f"{path}: missing metadata key {k!r}")

@@ -192,7 +192,7 @@ def test_criterion_8_branch_equivalence(verdict):
     for pi in range(len(table.phases)):
         for si in range(len(table.input_states)):
             for bi in range(len(table.bases)):
-                sc = table.setting_counts(pi, si, bi)
+                sc = table.counts[pi, si, bi].sum(axis=2)
                 n0, n1 = sc[0].sum(), sc[1].sum()
                 worst_sigma = max(worst_sigma, abs(n0 - n1) / np.sqrt(n0 + n1))
 

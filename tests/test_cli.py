@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from phasegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from phasegate import tomography
+from phasegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
 from phasegate.experiment import DEFAULT_PHASES
@@ -67,6 +68,7 @@ class TestRunConfig:
             ({"output_dir": 5}, "output_dir must be a path string"),
             ({"output_dir": None}, "output_dir must be a path string"),
             ({"emit": "counts"}, "emit must be a list"),
+            ({"plan": {"phases": []}}, "phases must be non-empty"),
         ],
     )
     def test_rejections_name_the_problem(self, data, fragment):
@@ -258,6 +260,48 @@ class TestCli:
         assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
         assert "choi" in capsys.readouterr().err
 
+    def test_report_on_missing_dir(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        assert main(["report", "--out", str(missing)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: not a directory: {missing}\n"
+        assert not missing.exists()
+
+    def test_reconstruct_header_only_csv(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("phase,input_state,basis,program_detector,data_detector,interval,count\n")
+        assert main(["reconstruct", str(path), "--out", str(tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: count CSV contains no records\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.csv"]
+
+    def test_reconstruct_without_basis_y_is_an_incomplete_design(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plan": {"phases": [0.0], "bases": ["Z", "X"]}, "seed": 1}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["reconstruct", str(out / "counts.csv"), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: incomplete design: missing measurement bases ['Y']\n"
+        assert [p.name for p in out.iterdir()] == ["counts.csv"]
+
+    def test_reconstruct_with_zero_pair_rate_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"pair_rate": 0}}))
+        capsys.readouterr()
+        assert main(["reconstruct", str(out / "counts.csv"), "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: pair_rate and interval_s must be positive")
+        assert [p.name for p in out.iterdir()] == ["counts.csv"]
+
+    def test_uncertified_fit_exits_4(self, small_config, tmp_path, capsys, monkeypatch):
+        # One Newton step per pass leaves the fit uncertified.
+        monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", small_config, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical error: process reconstruction at phase index 0 "
+                                                  "stopped uncertified (stalled)")
+        assert not out.exists()
+
     def test_report_warns_on_variant_phase_mismatch(self, small_config, tmp_path, capsys):
         out = tmp_path / "warn"
         assert main(["pipeline", "--config", small_config, "--out", str(out)]) == EXIT_OK
@@ -338,6 +382,14 @@ class TestReportRejectsNonPhysicalFiles:
             path.write_text(path.read_text().replace("phase 0\n", "phase zero\n"))
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()
+
+    def test_state_phase_must_match_the_choi_file(self, ideal_files, capsys):
+        path = ideal_files / "state_ff_p00_plus.txt"
+        path.write_text(path.read_text().replace("phase 0\n", "phase 1\n"))
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        choi = ideal_files / "choi_ff_p00.txt"
+        assert capsys.readouterr().err == f"data error: {path}: phase does not match {choi}\n"
         assert not (ideal_files / "report.csv").exists()
 
     @pytest.mark.parametrize("name", ["choi_ff_p00.txt", "state_ff_p00_plus.txt"])

@@ -1,4 +1,4 @@
-"""The README quick start and the demos run as written."""
+"""The README quick start and the demos run as written; its export list and flag table match the code."""
 
 import os
 import re
@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import phasegate
+from phasegate.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_gate_physics.py", "02_coincidence_simulation.py", "03_process_tomography.py", "04_fidelity_report.py"]
@@ -31,3 +34,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert not list(scratch.iterdir())
+
+
+def test_readme_lists_the_top_level_exports():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The top level of `phasegate` exports (.*?)\.\s+Everything", text, re.S).group(1)
+    listed = set(re.findall(r"`(\w+)`", sentence))
+    assert listed == {*phasegate.__all__, "__version__"}
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) \|$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+    table = {command: tuple(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows}
+    assert table == {command: flags for command, (_, _, flags) in _COMMANDS.items()}

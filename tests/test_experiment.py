@@ -250,7 +250,7 @@ class TestSimulateCounts:
         table = simulate_counts(plan, noise, 4)
         probs, _ = outcome_probabilities("+i", np.pi / 3, "Y", noise)
         n = table.total()
-        freq = table.setting_counts(0, 0, 0) / n
+        freq = table.counts[0, 0, 0].sum(axis=2) / n
         bound = 5 * np.sqrt(np.clip(probs * (1 - probs), 1e-12, None) / n)
         assert np.all(np.abs(freq - probs) <= bound)
 
@@ -278,8 +278,8 @@ class TestRescale:
         reference = simulate_counts(plan, clean, 8)
         for si in range(2):
             for bi in range(2):
-                a = rescaled.setting_counts(0, si, bi)
-                b = reference.setting_counts(0, si, bi)
+                a = rescaled.counts[0, si, bi].sum(axis=2)
+                b = reference.counts[0, si, bi].sum(axis=2)
                 w = np.outer([0.9, 0.5], [0.8, 0.6])
                 var = a * w / w**2 + b  # var of n/w is n/w^2 with n raw counts
                 bound = 5 * np.sqrt(np.clip(var, 1.0, None))
@@ -311,7 +311,7 @@ class TestSelectWithoutFeedForward:
         plan = ExperimentPlan(phases=(np.pi,), input_states=("+",), bases=("X",))
         noise = ideal_noise(pair_rate=40000.0)
         kept = select_without_feedforward(simulate_counts(plan, noise, 11))
-        block = kept.setting_counts(0, 0, 0)
+        block = kept.counts[0, 0, 0].sum(axis=2)
         # U(pi)|+> = |->: all data counts on D_d1.
         assert block[0, 0] == 0.0
         assert block[0, 1] > 0.0
@@ -321,13 +321,13 @@ class TestUsableFraction:
     def test_feed_forward_half(self):
         table = simulate_counts(ExperimentPlan(), ideal_noise(), 12)
         frac = usable_fraction(table, ideal_noise())
-        n = ideal_noise().pair_rate * 36 * ExperimentPlan().n_settings
+        n = ideal_noise().pair_rate * 36 * table.counts[..., 0, 0, 0].size  # pairs per setting x settings
         assert abs(frac - 0.5) < 3 * np.sqrt(0.5 * n) / n
 
     def test_without_feed_forward_quarter(self):
         table = simulate_counts(ExperimentPlan(), ideal_noise(), 12)
         frac = usable_fraction(select_without_feedforward(table), ideal_noise())
-        n = ideal_noise().pair_rate * 36 * ExperimentPlan().n_settings
+        n = ideal_noise().pair_rate * 36 * table.counts[..., 0, 0, 0].size  # pairs per setting x settings
         assert abs(frac - 0.25) < 3 * np.sqrt(0.25 * n) / n
 
 
@@ -489,6 +489,22 @@ class TestCountTableCsv:
             back = CountTable.from_csv(path)
             assert (back.phases, back.input_states, back.bases) == (table.phases, table.input_states, table.bases)
             np.testing.assert_array_equal(back.counts, table.counts)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        plan = ExperimentPlan(phases=(0.0, 1.0), input_states=("0", "+i"), bases=("Z", "Y"))
+        table = simulate_counts(plan, ideal_noise(n_intervals=2), 23)
+        path = tmp_path / "counts.csv"
+        table.to_csv(path)
+        text = path.read_bytes()
+        path.write_bytes("\ufeff".encode() + text)
+        back = CountTable.from_csv(path)
+        assert (back.phases, back.input_states, back.bases) == (table.phases, table.input_states, table.bases)
+        np.testing.assert_array_equal(back.counts, table.counts)
+        # The byte offset of a later encoding fault still counts the mark's three bytes.
+        path.write_bytes("\ufeff".encode() + text + b"\xff\n")
+        with pytest.raises(DataFormatError, match=f"not UTF-8.*byte {3 + len(text)}$"):
+            CountTable.from_csv(path)
 
     def test_duplicate_across_phase_spellings_names_the_key(self, tmp_path):
         rows = ["1,0,Z,D_p0,D_d0,0,5", "0,0,Z,D_p0,D_d0,0,5", repr(2 * np.pi) + ",0,Z,D_p0,D_d0,0,6"]

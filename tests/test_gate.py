@@ -141,8 +141,8 @@ class TestMeasurement:
             measure_program(joint, ProgramOutcome.MINUS)
 
     def test_detector_names(self):
-        assert ProgramOutcome.PLUS.detector == "D_p0"
-        assert ProgramOutcome.MINUS.detector == "D_p1"
+        assert ProgramOutcome.PLUS.value == "D_p0"
+        assert ProgramOutcome.MINUS.value == "D_p1"
 
 
 class TestFeedForward:

@@ -202,6 +202,19 @@ class TestMeritSerialization:
         with pytest.raises(DataFormatError, match="header"):
             read_merit_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0,0.98,0.985,0.97,0.96,0.95,1", "line 2: expected 8 fields, got 7"),
+         ("0,0.98,x,0.97,0.96,0.95,1,0.5", "line 2: could not convert string to float: 'x'")],
+        ids=["7_fields", "not_a_number"],
+    )
+    def test_bad_row_named_by_line(self, tmp_path, row, message):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{MERIT_CSV_HEADER}\n{row}\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_merit_csv(path)
+        assert str(exc.value) == message
+
     def test_formatted_table_mentions_both_variants(self):
         text = format_merit_table(self._rows())
         assert "with feed forward" in text

@@ -1,5 +1,6 @@
 """Pipeline orchestration: reconstruction sets, file artifacts, report assembly."""
 
+import dataclasses
 import os
 import tempfile
 from pathlib import Path
@@ -137,7 +138,7 @@ class TestArtifacts:
     def test_emitted_files_and_no_leftovers(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "out"
-        written = write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        written = write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out)), result)
         names = sorted(os.listdir(out))
         assert "counts.csv" in names
         assert "choi_ff_p00.txt" in names and "choi_noff_p00.txt" in names
@@ -194,13 +195,13 @@ class TestArtifacts:
     def test_emit_filter(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "only_report"
-        write_pipeline_artifacts(cfg.replace(output_dir=str(out), emit=("report",)), result)
+        write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out), emit=("report",)), result)
         assert sorted(os.listdir(out)) == ["report.csv", "report.txt"]
 
     def test_collect_reports_round_trip(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "rt"
-        write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out)), result)
         loaded, warnings = collect_reports(str(out))
         assert not warnings
         assert len(loaded) == len(result.reports)
@@ -214,7 +215,7 @@ class TestArtifacts:
     def test_collect_reports_checks_each_matrix_once(self, small_run, tmp_path, monkeypatch):
         cfg, result = small_run
         out = tmp_path / "checked"
-        write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out)), result)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
@@ -225,7 +226,7 @@ class TestArtifacts:
     def test_missing_state_file_listed(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "broken"
-        write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out)), result)
         os.remove(out / "state_ff_p00_minus.txt")
         with pytest.raises(DataFormatError, match=r"\['-'\]"):
             collect_reports(str(out))
@@ -233,7 +234,7 @@ class TestArtifacts:
     def test_variant_mismatch_warns(self, small_run, tmp_path):
         cfg, result = small_run
         out = tmp_path / "mismatch"
-        write_pipeline_artifacts(cfg.replace(output_dir=str(out)), result)
+        write_pipeline_artifacts(dataclasses.replace(cfg, output_dir=str(out)), result)
         # Fake a second phase present only in the ff variant.
         for name in list(os.listdir(out)):
             if "_p00" in name and "_ff_" in name:

@@ -12,6 +12,7 @@ from phasegate.gate import gate_unitary
 from phasegate.metrics import ideal_choi, process_fidelity
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density, ket, projector
 from phasegate.tomography import (
+    STOP_REASONS,
     TomographySetting,
     apply_map,
     load_choi,
@@ -151,6 +152,11 @@ class TestProcessReconstruction:
         # Tr_out of the new matrix is diag(2, 0), one away from the identity in max norm.
         assert moved.trace_preservation_deviation == 1.0
 
+    @pytest.mark.parametrize("reason", STOP_REASONS)
+    def test_converged_follows_the_stop_reason(self, reason):
+        fit = ml_reconstruct_process(exact_process_settings(ideal_choi(0.3), total=2e4))
+        assert dataclasses.replace(fit, stop_reason=reason).converged == (reason in ("certified", "rounding"))
+
     def test_single_setting_rank_deficient(self):
         s = TomographySetting(density("0"), projector("0"), 100.0)
         with pytest.raises(DataFormatError, match="rank-deficient"):
@@ -266,12 +272,19 @@ class TestSerialization:
             load_choi(path)
 
     def test_trailing_lines_rejected(self, tmp_path):
+        # Each fault of the file's structure names the file once, not wrapped as a malformed entry.
         path = tmp_path / "state.txt"
         save_state(path, density("0"), 0.0, "0")
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("0 0\n0 0\n")
-        with pytest.raises(DataFormatError, match="expected 4 entries after 'dim', found 6"):
-            load_state(path)
+        good = path.read_text()
+        for text, message in [
+            (good + "0 0\n0 0\n", "expected 4 entries after 'dim', found 6"),
+            (good.replace("dim 2\n", ""), "missing 'dim' line"),
+            (good.replace("dim 2\n", "dim 3\n"), "expected dim 2, got 3"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(DataFormatError) as exc:
+                load_state(path)
+            assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "chi, fragment",
