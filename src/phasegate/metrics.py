@@ -145,19 +145,10 @@ def read_merit_csv(path):
             parts = line.split(",")
             if len(parts) != 8:
                 raise DataFormatError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                reports.append(
-                    MeritReport(
-                        phi=float(parts[0]),
-                        F_chi=float(parts[1]),
-                        F_av=float(parts[2]),
-                        F_min=float(parts[3]),
-                        P_av=float(parts[4]),
-                        P_min=float(parts[5]),
-                        feed_forward_active=bool(int(parts[6])),
-                        success_probability=float(parts[7]),
-                    )
-                )
+            if parts[6] not in ("0", "1"):
+                raise DataFormatError(f"line {lineno}: feed_forward_active must be 0 or 1, got {parts[6]!r}")
+            try:  # phi, F_chi, F_av, F_min, P_av, P_min, feed_forward_active, success_probability
+                reports.append(MeritReport(*(float(x) for x in parts[:6]), parts[6] == "1", float(parts[7])))
             except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
     return reports

@@ -40,11 +40,12 @@ from .tomography import (
     StateReconstruction,
     load_choi,
     load_state,
-    ml_reconstruct_process,
+    ml_reconstruct_phases,
+    ml_reconstruct_process,  # noqa: F401  (with settings_for_phase, the one-phase fit, also reached from here)
     ml_reconstruct_state,
     save_choi,
     save_state,
-    settings_for_phase,
+    settings_for_phase,  # noqa: F401
     state_basis_counts,
 )
 
@@ -96,20 +97,16 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
     if success > 1.0:
         raise ConfigError(f"usable fraction {success:.6g} is above 1: after division by the efficiencies eta_*, "
                           "the table holds more events than pair_rate * interval_s pairs per setting and interval")
-    processes = []
-    output_states = []
-    for pi in range(len(table.phases)):
-        proc = ml_reconstruct_process(settings_for_phase(rescaled, pi))
+    processes = ml_reconstruct_phases(rescaled)
+    for pi, proc in enumerate(processes):
         if not proc.converged:
             raise ConvergenceError(
                 f"process reconstruction at phase index {pi} stopped uncertified ({proc.stop_reason}) after "
                 f"{proc.iterations} iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
             )
-        processes.append(proc)
-        output_states.append(
-            [ml_reconstruct_state(state_basis_counts(rescaled, pi, si)) for si in range(len(table.input_states))]
-        )
-    return ReconstructionSet(feed_forward, table.phases, table.input_states, processes, output_states, success)
+    outputs = [[ml_reconstruct_state(state_basis_counts(rescaled, pi, si)) for si in range(len(table.input_states))]
+               for pi in range(len(table.phases))]
+    return ReconstructionSet(feed_forward, table.phases, table.input_states, processes, outputs, success)
 
 
 def reports_from_reconstruction(rs: ReconstructionSet) -> list[MeritReport]:

@@ -14,18 +14,16 @@ operators ``E_k = rho_j^T (x) pi_l``.  ``L`` is concave, so its gradient
 point beats ``chi`` by more than ``gap = N (2 lambda_max(R) - 1)`` nats
 (Glancy, Knill & Girard, NJP 14, 095017, 2012).  The fit stops once the
 gap is at most :data:`GAP_TOL`.  Two monotone stages climb ``L``
-(see :func:`_ml_fixed_point`):
-
-* a short warm-up with the fixed point ``chi <- N[R chi R]`` (RrhoR,
-  ``N`` the trace renormalization), which ends early at a step that
-  would lower ``L``.  RrhoR finds the support of the optimum fast but
-  then converges only linearly, at the rate set by the multipliers of
-  the boundary directions;
-* damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
-  off the warm-up iterate (after Burer & Monteiro, Math. Program. 95,
-  329, 2003), which has no PSD constraint left and converges
-  quadratically.  A pass that a wrong rank leaves uncertified is run
-  once more from the warm-up iterate at full rank.
+(see :func:`_ml_fixed_point`): a short warm-up with the fixed point
+``chi <- N[R chi R]`` (RrhoR, ``N`` the trace renormalization), which
+finds the support of the optimum fast but then converges only linearly,
+and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
+off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
+2003), which has no PSD constraint left and converges quadratically.
+Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
+the phases of a count table: the warm-up steps one ``(k, 4, 4)`` stack, each
+fit with its own stops and weight 0 on the outcomes it lacks, and Newton
+finishes each fit on its own.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -146,7 +144,7 @@ class TomographySetting:
             object.__setattr__(self, "rho_in", require_psd(self.rho_in, 2, "density matrix", trace=1.0))
             object.__setattr__(self, "pi_out", require_projector(self.pi_out))
             operator = np.kron(self.rho_in.T, self.pi_out)
-        if not (np.isfinite(self.count) and self.count >= 0.0):
+        if not (math.isfinite(self.count) and self.count >= 0.0):
             raise ValueError(f"count must be finite and non-negative, got {self.count!r}")
         object.__setattr__(self, "operator", operator)
 
@@ -216,11 +214,18 @@ class StateReconstruction:
     likelihood_decreases: ClassVar[int] = 0
 
 
-@functools.lru_cache(maxsize=16)
-def _design_rank(flat_operators: bytes) -> int:
-    # Keyed by the raw operator stack: every phase of a table shares one design.
-    flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, CHOI_DIM * CHOI_DIM)
-    return int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))
+@functools.lru_cache(maxsize=64)
+def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
+    """The rank of an operator stack, and two float stacks of its ``kept`` operators for :func:`_ml_fixed_point`.
+
+    Row k of ``grad`` dotted with vec(m) as floats is Re Tr[m E_k] for Hermitian m, and a row of 0 ends it;
+    ``probe`` holds the same as columns, but vec(I) / trace_target last, which gives Tr[m] / trace_target.
+    """
+    flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, dim * dim)
+    used = flat[np.frombuffer(kept, dtype=bool)]
+    trace_row = np.eye(dim, dtype=complex).reshape(1, -1) / trace_target
+    probe, grad = (np.vstack([used, row]).view(float) for row in (trace_row, 0.0 * trace_row))
+    return int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag]))), _read_only(probe.T.copy()), _read_only(grad)
 
 
 #: Values of ``ProcessReconstruction.stop_reason``; the first two set ``converged``.  ``certified``:
@@ -232,31 +237,45 @@ def _design_rank(flat_operators: bytes) -> int:
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+def _settled(gap: float, n_total: float) -> str | None:
+    """The stop reason the certificate ``gap`` of a fit to ``n_total`` events gives, or None to go on."""
+    # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
+    floor = _ROUNDING_ULPS * np.finfo(float).eps * (n_total + gap)
+    if gap <= GAP_TOL:
+        return "certified" if floor <= GAP_TOL else "rounding"
+    return "rounding" if gap <= floor else None
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float,
-                    tol: float = 0.0) -> ProcessReconstruction:
+                    tol: float = 0.0) -> list[ProcessReconstruction]:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    Returns a :class:`ProcessReconstruction` whose ``choi`` is the
-    ``dim x dim`` estimate.  Two stages, each stopped by the certificate ``gap``:
+    ``counts`` has one row per fit, shape ``(k, n_ops)``, all against
+    ``operators``.  Returns one :class:`ProcessReconstruction` per row,
+    whose ``choi`` is the ``dim x dim`` estimate.  Two stages, each
+    stopped by the certificate ``gap``:
 
     1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
-       steps, checking the gap every ``_CHECK_EVERY``.  It finds the
-       support of the optimum but crawls once there: an optimal
-       eigenvalue ``0`` whose direction ``v`` has the multiplier
-       ``mu = 1 - trace_target * v^H R v`` shrinks only by ``(1 - mu)^2``
-       per step (``mu`` is about 0.11 on calibrated data), and like
-       ``1/k`` when ``mu`` vanishes.  A step that would lower ``L`` ends
-       the warm-up at the last accepted iterate.
-    2. Damped Newton on a factor, ``m = trace_target B B^H / |B|^2`` with
-       ``B`` of shape ``dim x rank``.  The rank drops every eigenvector
-       of the iterate whose multiplier is at least half the largest one,
-       unless it is within the spread of the in-range multipliers.
-       The factor carries no PSD constraint, so Newton converges
-       quadratically to the rank-limited maximum, which is the maximum
-       when the rank is right.  ``L`` does not change under ``B -> c B U``
-       for unitary ``U``, so the Hessian is inverted only on its
-       negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
+       steps, checking the gap every ``_CHECK_EVERY``.  Once at the
+       support of the optimum it crawls: an optimal eigenvalue ``0``
+       whose direction ``v`` has the multiplier ``mu = 1 - trace_target
+       * v^H R v`` shrinks only by ``(1 - mu)^2`` per step (``mu`` is
+       about 0.11 on calibrated data).  A step that would lower ``L`` ends
+       the warm-up at the last accepted iterate.  The fits step as one
+       ``(k, dim, dim)`` stack, which a fit leaves at the first check
+       after its own stop.  An outcome empty in every fit is dropped; one
+       empty in some fits has weight 0 there and 1 added to its ``p_k``,
+       so that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
+    2. Per fit, on its nonzero outcomes, damped Newton on a factor
+       ``m = trace_target B B^H / |B|^2`` with ``B`` of shape ``dim x rank``.
+       The rank drops every eigenvector of the iterate whose multiplier is
+       at least half the largest one, unless it is within the spread of
+       the in-range multipliers.  The factor carries no PSD constraint, so
+       Newton converges quadratically to the rank-limited maximum, which
+       is the maximum when the rank is right.  ``L`` does not change under
+       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on
+       its negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
        If the pass ends uncertified (no damped step raises ``L``, or the
        steps run out) and the rank dropped a direction that the optimum
        keeps, one more pass of as many steps starts again from the
@@ -270,18 +289,82 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     such a stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
-    n_total = counts.sum()
-    if n_total <= 0.0:
+    keep = (counts > 0.0).any(axis=0)
+    rank, e_probe, e_grad = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target, keep.tobytes())
+    if rank < dim * dim:
+        raise DataFormatError(f"measurement design is rank-deficient: spans {rank} of {dim * dim} dimensions")
+    n_total = counts.sum(axis=1)
+    if not n_total.min() > 0.0:
         raise DataFormatError("total count is zero; nothing to reconstruct")
-    # Outcomes with no counts do not enter L or its gradient.
-    keep = counts > 0.0
-    weights = counts[keep] / n_total
-    ops = np.asarray(operators)[keep]
-    # One fixed stack serves p_k and the gradient, acting on matrices viewed as (re, im) float
-    # pairs: its row k dotted with vec(m) is Re Tr[E_k^H m] = Re Tr[m E_k] for Hermitian m.
-    e_build = np.ascontiguousarray(ops).reshape(len(ops), dim * dim).view(float)
+    # RrhoR steps unnormalized m.  With q_k = Tr[m E_k] and q_0 = Tr[m] / trace_target, p_k = q_k / q_0, and
+    # the weight -1 on q_0 gives L = sum_k f_k log q_k - log q_0 and the gradient R / q_0.  The weights of
+    # each fit are a (1, n) matrix of their own, so that its products do not depend on the other fits.
+    weights = np.concatenate([counts[:, None, keep], -n_total[:, None, None]], axis=2) / n_total[:, None, None]
+    fits, w, z, n = np.arange(len(counts)), weights, weights == 0.0, n_total  # the fits in the warm-up
+    shifted, warm = np.count_nonzero(z) > 0, [None] * len(counts)  # warm: per fit, where Newton starts
 
-    # Iterates keep Tr = trace_target, where p_k = Tr[m E_k] is linear in m.
+    def probe(m):
+        q = m.reshape(len(m), 1, -1).view(float) @ e_probe
+        if shifted:
+            q += z
+        return q, np.vecdot(w, np.log(q))
+
+    def gradient(q):
+        return ((w / q) @ e_grad).view(complex).reshape(len(q), dim, dim)
+
+    def retire(j, est, q, r, iterations, decreases=0, gap=math.inf, reason=None):  # from the last good stack
+        trace = np.array(history[: iterations - decreases + 1])[:, j, 0].tolist()
+        warm[fits[j]] = trace, est[j] / q[j, 0, -1], trace[-1], r[j] * q[j, 0, -1], iterations, decreases, gap, reason
+
+    est = np.repeat(np.eye(dim, dtype=complex)[None] * (trace_target / dim), len(counts), axis=0)
+    q, ll = probe(est)
+    r = gradient(q)
+    moved, history, since, step = np.full(len(counts), math.inf), [ll], [(est, q, r)], 0
+    warmup = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS
+    while len(fits) and step < warmup:
+        step += 1
+        previous, est = est, r @ est @ r
+        q, ll = probe(est)
+        if tol > 0.0:  # iterates at trace_target, and the step between them
+            est, q = est / q[:, :, -1:], q / q[:, :, -1:]
+            moved = np.abs(est - previous).max(axis=(1, 2))
+        r = gradient(q)
+        history.append(ll)
+        since.append((est, q, r))
+        if (check := step % _CHECK_EVERY == 0) or step == warmup or tol > 0.0:
+            # Since the last check: a step that would lower L (or make it NaN) ends a fit's warm-up at the
+            # iterate before it, and the stack stepped on regardless.
+            recent = np.array(history[-len(since) :])[:, :, 0]
+            fell = ~(recent[1:] >= recent[:-1] - _DECREASE_TOL)
+            over = fell.any(axis=0)
+            if check:
+                lam = np.linalg.eigvalsh(np.where(over[:, None, None], 0.0, r))[:, -1]
+                gaps = (n * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
+            go = ~over
+            for j in range(len(fits)):
+                if over[j]:
+                    back = int(fell[:, j].argmax())
+                    retire(j, *since[back], step - len(since) + back + 2, 1)
+                elif reason := "step" if moved[j] < tol else check and _settled(gaps[j], n[j]) or None:
+                    retire(j, est, q, r, step, 0, gaps[j] if check else math.inf, reason)
+                    go[j] = False
+            if not go.all():
+                fits, w, z, n, est, q, r, moved = (a[go] for a in (fits, w, z, n, est, q, r, moved))
+                history = list(np.array(history)[:, go])
+            since = since[-1:]
+    for j in range(len(fits)):
+        retire(j, est, q, r, step)
+    return [_newton_finish(e_grad[:-1], weights[i, 0, :-1], n_total[i], *fit, dim=dim, trace_target=trace_target,
+                           tol=tol) for i, fit in enumerate(warm)]
+
+
+def _newton_finish(e_build, weights, n_total, trace, est, ll, r, iterations, decreases, gap, reason, *,
+                   dim, trace_target, tol) -> ProcessReconstruction:
+    """Stage 2 of :func:`_ml_fixed_point` for one fit, from where its warm-up ended."""
+    own = weights > 0.0
+    if np.count_nonzero(own) < len(own):
+        e_build, weights = e_build[own], weights[own]
+
     def probs(m):
         return e_build @ m.reshape(-1).view(float)
 
@@ -295,48 +378,6 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     def certificate(r):
         return float(n_total * (trace_target * np.linalg.eigvalsh(r)[-1] - 1.0))
 
-    def settled(gap):
-        """The stop reason the certificate gives, or None to go on."""
-        # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
-        floor = _ROUNDING_ULPS * np.finfo(float).eps * (n_total + gap)
-        if gap <= GAP_TOL:
-            return "certified" if floor <= GAP_TOL else "rounding"
-        return "rounding" if gap <= floor else None
-
-    # Rounding leaves iterates Hermitian only to about eps; p_k reads the Hermitian part,
-    # and the estimate is symmetrized on return.
-    def renormalize(m):
-        return m * (trace_target / m.trace().real)
-
-    est = np.eye(dim, dtype=complex) * (trace_target / dim)
-    p = probs(est)
-    ll = loglik(p)
-    r = gradient(p)
-    trace = [ll]
-    decreases = 0
-    iterations = 0
-    gap = math.inf
-    reason = None
-
-    # RrhoR warm-up; with tol > 0 it runs until the step is below tol.
-    warmup = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS
-    while reason is None and iterations < warmup:
-        iterations += 1
-        candidate = renormalize(r @ est @ r)
-        p_new = probs(candidate)
-        ll_new = loglik(p_new)
-        if not ll_new >= ll - _DECREASE_TOL:
-            decreases += 1
-            break  # RrhoR overshoots here; Newton goes on from the last accepted iterate
-        step = float(np.max(np.abs(candidate - est))) if tol > 0.0 else math.inf
-        est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
-        trace.append(ll)
-        if step < tol:
-            reason = "step"
-        elif iterations % _CHECK_EVERY == 0:
-            gap = certificate(r)
-            reason = settled(gap)
-
     # Newton on the factor B (dim x rank), over the float view x of C = B^T (row j: column j of B):
     # L(x) = sum_k f_k log q_k - log |x|^2 + const, with q_k = Tr[B^H E_k B] = x . view(C E_k^T).
     newton_start = iterations
@@ -346,15 +387,15 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
         # (|min|) is not told apart from them, and the direction of the smallest always stays.
         dropped = multipliers > max(0.5 * multipliers.max(), abs(multipliers.min()))
-        ops_t = ops.transpose(0, 2, 1)
+        ops_t = e_build.view(complex).reshape(-1, dim, dim).transpose(0, 2, 1)
         row = 2 * dim
-        warm = est, p, ll, r, len(trace)
+        warm = est, ll, r, len(trace)
         # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
         passes = [~dropped, np.ones_like(dropped)] if dropped.any() else [~dropped]
         for kept in passes:
             if reason is not None:
                 break
-            est, p, ll, r, n_warm = warm
+            est, ll, r, n_warm = warm
             del trace[n_warm:]
             c_rows = (v[:, kept] * np.sqrt(np.maximum(w[kept], 0.0))).T
             x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
@@ -364,7 +405,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                 iterations += 1
                 s = float(x @ x)
                 c_rows = x.view(complex).reshape(-1, dim)
-                jac = (c_rows @ ops_t).reshape(len(ops), -1).view(float)  # row k: half the gradient of q_k
+                jac = (c_rows @ ops_t).reshape(len(e_build), -1).view(float)  # row k: half the gradient of q_k
                 q = jac @ x
                 a = gradient(q)  # sum_k (f_k / q_k) E_k
                 grad = 2.0 * (c_rows @ a.T).reshape(-1).view(float) - (2.0 / s) * x
@@ -394,14 +435,14 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                 if alpha < 1.0:
                     decreases += 1
                 x = x_new * math.sqrt(trace_target / float(x_new @ x_new))
-                est, p, ll, r = candidate, p_new, ll_new, gradient(p_new)
+                est, ll, r = candidate, ll_new, gradient(p_new)
                 trace.append(ll)
                 gap = certificate(r)
-                reason = settled(gap)
+                reason = _settled(gap, n_total)
 
     if reason in (None, "step"):
         gap = certificate(r)
-        reason = settled(gap) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
+        reason = _settled(gap, n_total) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
     return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, float(n_total * ll),
                                  np.asarray(trace), decreases, gap, reason, iterations - newton_start)
 
@@ -421,14 +462,17 @@ def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:
     settings = list(settings)
     if not settings:
         raise DataFormatError("no tomography settings supplied")
-    operators = np.stack([s.operator for s in settings])
-    counts = np.asarray([s.count for s in settings], dtype=float)
-    rank = _design_rank(operators.tobytes())
-    if rank < CHOI_DIM * CHOI_DIM:
-        raise DataFormatError(
-            f"measurement design is rank-deficient: spans {rank} of {CHOI_DIM * CHOI_DIM} dimensions"
-        )
-    return _ml_fixed_point(operators, counts, CHOI_DIM, 2.0, tol)
+    operators = np.array([s.operator for s in settings])
+    return _ml_fixed_point(operators, np.array([s.count for s in settings])[None], CHOI_DIM, 2.0, tol)[0]
+
+
+def ml_reconstruct_phases(counts_table) -> list[ProcessReconstruction]:
+    """:func:`ml_reconstruct_process` of ``settings_for_phase(counts_table, pi)`` for every phase, as one batch
+    whose counts form one ``(phases, n_ops)`` matrix; no :class:`TomographySetting` is built."""
+    states, operators = _cardinal_design()
+    ops = np.array([operators[id(states[s]), id(states[o])]
+                    for s in counts_table.input_states for b in counts_table.bases for o in BASIS_OUTCOMES[b]])
+    return _ml_fixed_point(ops, counts_table.counts.sum(axis=(3, 5)).reshape(-1, len(ops)), CHOI_DIM, 2.0)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -583,12 +627,8 @@ def settings_for_phase(counts_table, phase_index: int):
     """
     per_detector = counts_table.counts[phase_index].sum(axis=(2, 4))  # (state, basis, data detector)
     cardinal, _ = _cardinal_design()
-    return [
-        TomographySetting(cardinal[state_label], cardinal[outcome_label], float(per_detector[si, bi, dj]))
-        for si, state_label in enumerate(counts_table.input_states)
-        for bi, basis in enumerate(counts_table.bases)
-        for dj, outcome_label in enumerate(BASIS_OUTCOMES[basis])
-    ]
+    labels = [(s, o) for s in counts_table.input_states for b in counts_table.bases for o in BASIS_OUTCOMES[b]]
+    return [TomographySetting(cardinal[s], cardinal[o], c) for (s, o), c in zip(labels, per_detector.ravel().tolist())]
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):

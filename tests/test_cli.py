@@ -9,11 +9,11 @@ from phasegate import tomography
 from phasegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
-from phasegate.experiment import DEFAULT_PHASES
+from phasegate.experiment import DEFAULT_PHASES, ExperimentPlan, ideal_noise, rescale_efficiencies, simulate_counts
 from phasegate.metrics import ideal_choi, read_merit_csv
 from phasegate.pipeline import STATE_FILE_LABELS
 from phasegate.states import STATE_LABELS, density
-from phasegate.tomography import save_choi, save_state
+from phasegate.tomography import GAP_TOL, ml_reconstruct_process, save_choi, save_state, settings_for_phase
 
 
 class TestRunConfig:
@@ -301,6 +301,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith("numerical error: process reconstruction at phase index 0 "
                                                   "stopped uncertified (stalled)")
         assert not out.exists()
+
+    def test_uncertified_table_names_its_lowest_phase(self, tmp_path, capsys, monkeypatch):
+        # With one Newton step per pass, phases 1, 2, 4 and 5 of criterion 1's dataset end uncertified and
+        # phase 0 does not.  The batched fit of the table reports phase 1, in the words of its fit alone.
+        monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+        noise = ideal_noise(pair_rate=16000.0)
+        rescaled = rescale_efficiencies(simulate_counts(ExperimentPlan(), noise, 1), noise)
+        alone = [ml_reconstruct_process(settings_for_phase(rescaled, pi)) for pi in range(len(rescaled.phases))]
+        uncertified = [pi for pi, fit in enumerate(alone) if not fit.converged]
+        assert len(uncertified) >= 2 and uncertified[0] > 0
+        pi, fit = uncertified[0], alone[uncertified[0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"pair_rate": 16000.0}, "seed": 1}))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical error: process reconstruction at phase index {pi} stopped uncertified ({fit.stop_reason}) "
+            f"after {fit.iterations} iterations: certified gap {fit.certified_gap:.3g} nats > {GAP_TOL:g}\n")
 
     def test_report_warns_on_variant_phase_mismatch(self, small_config, tmp_path, capsys):
         out = tmp_path / "warn"

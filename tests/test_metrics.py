@@ -205,8 +205,10 @@ class TestMeritSerialization:
     @pytest.mark.parametrize(
         "row, message",
         [("0,0.98,0.985,0.97,0.96,0.95,1", "line 2: expected 8 fields, got 7"),
-         ("0,0.98,x,0.97,0.96,0.95,1,0.5", "line 2: could not convert string to float: 'x'")],
-        ids=["7_fields", "not_a_number"],
+         ("0,0.98,x,0.97,0.96,0.95,1,0.5", "line 2: could not convert string to float: 'x'"),
+         ("0,0.98,0.985,0.97,0.96,0.95,7,0.5", "line 2: feed_forward_active must be 0 or 1, got '7'"),
+         ("0,0.98,0.985,0.97,0.96,0.95,-1,0.5", "line 2: feed_forward_active must be 0 or 1, got '-1'")],
+        ids=["7_fields", "not_a_number", "flag_7", "flag_minus_1"],
     )
     def test_bad_row_named_by_line(self, tmp_path, row, message):
         path = tmp_path / "report.csv"

@@ -24,6 +24,7 @@ from phasegate.pipeline import (
     write_reconstruction,
     write_reports,
 )
+from phasegate.tomography import TomographySetting, settings_for_phase
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,19 @@ class TestReconstructTable:
         assert flags == [True, False]
         for r in result.reports:
             assert 0.9 < r.F_chi <= 1.0
+
+    def test_builds_no_setting_objects(self, monkeypatch):
+        # The table's phases are fitted from one count matrix, not from per-setting objects.
+        built = []
+        post_init = TomographySetting.__post_init__
+        monkeypatch.setattr(TomographySetting, "__post_init__", lambda self: built.append(post_init(self)))
+        noise = calibrated_noise()
+        table = simulate_counts(ExperimentPlan(phases=(0.0, 1.0)), noise, 1)
+        assert len(settings_for_phase(table, 0)) == len(built) == 36  # the count sees every construction
+        built.clear()
+        for feed_forward in (True, False):
+            reconstruct_table(table, noise, feed_forward)
+        assert built == []
 
     def test_csv_ingestion_equals_in_memory(self, small_run, tmp_path):
         cfg, result = small_run

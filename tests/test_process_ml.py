@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phasegate import tomography
@@ -15,6 +15,7 @@ from phasegate.experiment import (
     select_without_feedforward,
     simulate_counts,
 )
+from phasegate.metrics import ideal_choi
 from phasegate.pipeline import reconstruct_table
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density, projector
 from phasegate.tomography import GAP_TOL, TomographySetting, ml_reconstruct_process, settings_for_phase
@@ -103,6 +104,74 @@ def test_process_fit_certified_monotone_and_physical(counts):
     assert fit.log_likelihood >= rrhor_reference(counts) - GAP_TOL
 
 
+def expected_counts(chi):
+    """Rounded expected counts of a map at 300 events for its likeliest outcome."""
+    p = np.einsum("kij,ji->k", OPERATORS, chi).real
+    return np.round(300.0 * p / p.max())
+
+
+def two_peaks(i, j):
+    """Two outcomes of 300 counts over a floor of 0.5."""
+    row = np.full(36, 0.5)
+    row[[i, j]] = 300.0
+    return row
+
+
+# Exact counts of the fully depolarizing map, whose optimum is the maximally mixed start.
+DEPOLARIZING = np.full(36, 100.0)
+NOISY_GATES = [expected_counts(0.9 * ideal_choi(phi) + 0.05 * np.eye(4)) for phi in (0.3, 2.0)]
+
+
+def warmup_steps(fit):
+    return fit.iterations - fit.newton_iterations
+
+
+def fits_alone(rows):
+    return [ml_reconstruct_process([TomographySetting(rho, pi, c) for (rho, pi), c in zip(DESIGN, row)])
+            for row in rows]
+
+
+def assert_same_fit(fit, alone):
+    assert (fit.iterations, fit.newton_iterations, fit.stop_reason, fit.likelihood_decreases) == (
+        alone.iterations, alone.newton_iterations, alone.stop_reason, alone.likelihood_decreases)
+    np.testing.assert_allclose(fit.choi, alone.choi, rtol=0.0, atol=1e-12)
+
+
+def test_example_rows_end_their_warmup_where_the_batch_test_needs():
+    # A two-peak row overshoots at RrhoR step 2 (a certificate is checked only at step 16), the
+    # depolarizing row certifies at step 16 with no Newton step, and the noisy gates run all 32 steps.
+    overshoot, depolarizing, *gates = fits_alone([two_peaks(0, 10), DEPOLARIZING, *NOISY_GATES])
+    assert warmup_steps(overshoot) == 2 and overshoot.likelihood_decreases >= 1
+    assert (depolarizing.iterations, depolarizing.newton_iterations) == (tomography._CHECK_EVERY, 0)
+    assert all(warmup_steps(fit) == tomography._WARMUP_STEPS for fit in gates)
+
+
+@st.composite
+def count_batches(draw):
+    """One to six count rows, maybe with an early overshoot, a step-16 certificate and an outcome empty in all."""
+    rows = draw(st.lists(tables, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.append(two_peaks(*draw(st.lists(st.integers(0, 35), min_size=2, max_size=2, unique=True))))
+    if draw(st.booleans()):
+        rows.append(DEPOLARIZING)
+    batch = np.array(draw(st.permutations(rows)))
+    if draw(st.booleans()):
+        batch[:, draw(st.integers(0, 35))] = 0.0
+    return batch
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(count_batches())
+@example(np.array([NOISY_GATES[0], two_peaks(0, 10), NOISY_GATES[1]]))
+@example(np.array([NOISY_GATES[0], DEPOLARIZING, NOISY_GATES[1]]))
+@example(np.array([two_peaks(3, 20), NOISY_GATES[1], DEPOLARIZING, 40.0 * np.eye(36)[7]]))
+def test_batched_fits_match_fits_one_at_a_time(batch):
+    # Each fit of a batch stops by its own rules: the same steps, stop reason and estimate as alone.
+    assume(np.all(batch.sum(axis=1) > 0))
+    for fit, alone in zip(tomography._ml_fixed_point(OPERATORS, batch, 4, 2.0), fits_alone(batch)):
+        assert_same_fit(fit, alone)
+
+
 @pytest.fixture(scope="module")
 def dataset_phases():
     """Settings of every phase and analysis, keyed by (noise model, dataset seed).
@@ -156,3 +225,13 @@ def test_exhausted_newton_stops_stalled(monkeypatch):
     assert fit.certified_gap > GAP_TOL
     with pytest.raises(ConvergenceError, match="stalled"):
         reconstruct_table(table, noise, True)
+
+
+def test_table_batch_matches_fits_per_phase():
+    # One batch per table, with the phases' counts in the order of settings_for_phase.
+    for noise, seed in ((calibrated_noise(), 103), (ideal_noise(pair_rate=16000.0), 1)):
+        table = simulate_counts(ExperimentPlan(), noise, seed)
+        for analyzed in (table, select_without_feedforward(table)):
+            rescaled = rescale_efficiencies(analyzed, noise)
+            for pi, fit in enumerate(tomography.ml_reconstruct_phases(rescaled)):
+                assert_same_fit(fit, ml_reconstruct_process(settings_for_phase(rescaled, pi)))

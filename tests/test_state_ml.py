@@ -37,7 +37,7 @@ def certified_gap(rho, basis_counts):
 
 def reference(basis_counts):
     """The iterative estimator of the process fits (RrhoR, then Newton on a factor) on the same six projectors."""
-    fit = _ml_fixed_point(OPERATORS, flat_counts(basis_counts), 2, 1.0)
+    fit, = _ml_fixed_point(OPERATORS, [flat_counts(basis_counts)], 2, 1.0)
     return fit.choi, fit.log_likelihood
 
 
@@ -161,7 +161,7 @@ class TestExplicitCases:
         # size alone ends here after 2 iterations at rho_11 = 7.9e-11, 6.3e9 nats short of
         # the optimum rho_11 = 0.5 / 168,530.
         counts = {"Z": (168529.5, 0.5), "X": (0.0, 0.0), "Y": (0.0, 0.0)}
-        fit = _ml_fixed_point(OPERATORS, flat_counts(counts), 2, 1.0)
+        fit, = _ml_fixed_point(OPERATORS, [flat_counts(counts)], 2, 1.0)
         assert fit.converged and fit.stop_reason == "certified"
         assert certified_gap(fit.choi, counts) <= GAP_TOL
         assert fit.choi[1, 1].real == pytest.approx(0.5 / 168530.0, rel=1e-3)
