@@ -71,8 +71,8 @@ _FACTOR_STEPS = 24
 _CURVATURE_RTOL = 1e-10
 # Newton halves a step that lowers L down to this fraction of it.
 _MIN_DAMPING = 2.0**-30
-# The certificate's own rounding error, in units of eps * (N + gap).
-_ROUNDING_ULPS = 64.0
+# The certificate's own rounding error, relative to N + gap: 64 ulps.
+_ROUNDING_RTOL = 64.0 * float(np.finfo(float).eps)
 
 _PSD_ATOL = 1e-10
 
@@ -216,7 +216,9 @@ class StateReconstruction:
 
 @functools.lru_cache(maxsize=64)
 def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
-    """The rank of an operator stack, and two float stacks of its ``kept`` operators for :func:`_ml_fixed_point`.
+    """The maximally mixed start and float stacks of the ``kept`` operators, for :func:`_ml_fixed_point`.
+
+    Raises :class:`DataFormatError` if the operators do not span all Hermitian ``dim x dim`` matrices.
 
     Row k of ``grad`` dotted with vec(m) as floats is Re Tr[m E_k] for Hermitian m, and a row of 0 ends it;
     ``probe`` holds the same as columns, but vec(I) / trace_target last, which gives Tr[m] / trace_target.
@@ -225,7 +227,10 @@ def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
     used = flat[np.frombuffer(kept, dtype=bool)]
     trace_row = np.eye(dim, dtype=complex).reshape(1, -1) / trace_target
     probe, grad = (np.vstack([used, row]).view(float) for row in (trace_row, 0.0 * trace_row))
-    return int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag]))), _read_only(probe.T.copy()), _read_only(grad)
+    if (rank := int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))) < dim * dim:
+        raise DataFormatError(f"measurement design is rank-deficient: spans {rank} of {dim * dim} dimensions")
+    start = np.eye(dim, dtype=complex)[None] * (trace_target / dim)
+    return _read_only(start), _read_only(probe.T.copy()), _read_only(grad)
 
 
 #: Values of ``ProcessReconstruction.stop_reason``; the first two set ``converged``.  ``certified``:
@@ -240,7 +245,7 @@ STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 def _settled(gap: float, n_total: float) -> str | None:
     """The stop reason the certificate ``gap`` of a fit to ``n_total`` events gives, or None to go on."""
     # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
-    floor = _ROUNDING_ULPS * np.finfo(float).eps * (n_total + gap)
+    floor = _ROUNDING_RTOL * (n_total + gap)
     if gap <= GAP_TOL:
         return "certified" if floor <= GAP_TOL else "rounding"
     return "rounding" if gap <= floor else None
@@ -251,48 +256,36 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                     tol: float = 0.0) -> list[ProcessReconstruction]:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    ``counts`` has one row per fit, shape ``(k, n_ops)``, all against
-    ``operators``.  Returns one :class:`ProcessReconstruction` per row,
-    whose ``choi`` is the ``dim x dim`` estimate.  Two stages, each
-    stopped by the certificate ``gap``:
+    ``counts`` has one row per fit, shape ``(k, n_ops)``, all against ``operators``.  Returns one
+    :class:`ProcessReconstruction` per row, whose ``choi`` is the ``dim x dim`` estimate.  Two stages,
+    each stopped by the certificate ``gap``:
 
-    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
-       steps, checking the gap every ``_CHECK_EVERY``.  Once at the
-       support of the optimum it crawls: an optimal eigenvalue ``0``
-       whose direction ``v`` has the multiplier ``mu = 1 - trace_target
-       * v^H R v`` shrinks only by ``(1 - mu)^2`` per step (``mu`` is
-       about 0.11 on calibrated data).  A step that would lower ``L`` ends
-       the warm-up at the last accepted iterate.  The fits step as one
-       ``(k, dim, dim)`` stack, which a fit leaves at the first check
-       after its own stop.  An outcome empty in every fit is dropped; one
-       empty in some fits has weight 0 there and 1 added to its ``p_k``,
-       so that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
-    2. Per fit, on its nonzero outcomes, damped Newton on a factor
-       ``m = trace_target B B^H / |B|^2`` with ``B`` of shape ``dim x rank``.
-       The rank drops every eigenvector of the iterate whose multiplier is
-       at least half the largest one, unless it is within the spread of
-       the in-range multipliers.  The factor carries no PSD constraint, so
-       Newton converges quadratically to the rank-limited maximum, which
-       is the maximum when the rank is right.  ``L`` does not change under
-       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on
-       its negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
-       If the pass ends uncertified (no damped step raises ``L``, or the
-       steps run out) and the rank dropped a direction that the optimum
-       keeps, one more pass of as many steps starts again from the
-       warm-up iterate with every eigenvector kept.
+    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS`` steps, checking the gap every
+       ``_CHECK_EVERY``.  Once at the support of the optimum it crawls: an optimal eigenvalue ``0``
+       whose direction ``v`` has the multiplier ``mu = 1 - trace_target * v^H R v`` shrinks only by
+       ``(1 - mu)^2`` per step (``mu`` is about 0.11 on calibrated data).  A step that would lower ``L``
+       ends the warm-up at the last accepted iterate.  The fits step as one ``(k, dim, dim)`` stack,
+       which a fit leaves at the first check after its own stop.  An outcome empty in every fit is
+       dropped; one empty in some fits has weight 0 there and 1 added to its ``p_k``, so that it adds
+       exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
+    2. Per fit, on its nonzero outcomes, damped Newton on a factor ``m = trace_target B B^H / |B|^2``
+       with ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of the iterate whose
+       multiplier is at least half the largest one, unless it is within the spread of the in-range
+       multipliers.  The factor carries no PSD constraint, so Newton converges quadratically to the
+       rank-limited maximum, which is the maximum when the rank is right.  ``L`` does not change under
+       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on its negative-curvature
+       eigenspace.  At most ``_FACTOR_STEPS`` steps.  If the pass ends uncertified (no damped step
+       raises ``L``, or the steps run out) and the rank dropped a direction that the optimum keeps, one
+       more pass of as many steps starts again from the warm-up iterate with every eigenvector kept.
 
-    Every accepted iterate lowers the per-event log-likelihood by at most
-    ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
-    it does, from the truncated start too, and the trace of a discarded
-    pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR
-    until a step changes the iterate by less than ``tol`` in max norm;
-    such a stop is not certified.
+    Every accepted iterate lowers the per-event log-likelihood by at most ``_DECREASE_TOL``, so the
+    trace is monotone; Newton backtracks until it does, from the truncated start too, and the trace of
+    a discarded pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR until a step
+    changes the iterate by less than ``tol`` in max norm; such a stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
     keep = (counts > 0.0).any(axis=0)
-    rank, e_probe, e_grad = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target, keep.tobytes())
-    if rank < dim * dim:
-        raise DataFormatError(f"measurement design is rank-deficient: spans {rank} of {dim * dim} dimensions")
+    start, e_probe, e_grad = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target, keep.tobytes())
     n_total = counts.sum(axis=1)
     if not n_total.min() > 0.0:
         raise DataFormatError("total count is zero; nothing to reconstruct")
@@ -313,13 +306,13 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         return ((w / q) @ e_grad).view(complex).reshape(len(q), dim, dim)
 
     def retire(j, est, q, r, iterations, decreases=0, gap=math.inf, reason=None):  # from the last good stack
-        trace = np.array(history[: iterations - decreases + 1])[:, j, 0].tolist()
+        trace = [ll.item(j) for ll in history[: iterations - decreases + 1]]
         warm[fits[j]] = trace, est[j] / q[j, 0, -1], trace[-1], r[j] * q[j, 0, -1], iterations, decreases, gap, reason
 
-    est = np.repeat(np.eye(dim, dtype=complex)[None] * (trace_target / dim), len(counts), axis=0)
+    est = start.repeat(len(counts), axis=0)
     q, ll = probe(est)
     r = gradient(q)
-    moved, history, since, step = np.full(len(counts), math.inf), [ll], [(est, q, r)], 0
+    history, since, step = [ll], [(est, q, r)], 0
     warmup = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS
     while len(fits) and step < warmup:
         step += 1
@@ -334,24 +327,24 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
         if (check := step % _CHECK_EVERY == 0) or step == warmup or tol > 0.0:
             # Since the last check: a step that would lower L (or make it NaN) ends a fit's warm-up at the
             # iterate before it, and the stack stepped on regardless.
-            recent = np.array(history[-len(since) :])[:, :, 0]
-            fell = ~(recent[1:] >= recent[:-1] - _DECREASE_TOL)
-            over = fell.any(axis=0)
+            recent = np.concatenate(history[-len(since) :], axis=1)
+            fell = ~(recent[:, 1:] >= recent[:, :-1] - _DECREASE_TOL)
+            over = fell.any(axis=1)
             if check:
                 lam = np.linalg.eigvalsh(np.where(over[:, None, None], 0.0, r))[:, -1]
                 gaps = (n * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
             go = ~over
             for j in range(len(fits)):
                 if over[j]:
-                    back = int(fell[:, j].argmax())
+                    back = int(fell[j].argmax())
                     retire(j, *since[back], step - len(since) + back + 2, 1)
-                elif reason := "step" if moved[j] < tol else check and _settled(gaps[j], n[j]) or None:
+                elif reason := "step" if tol > 0.0 and moved[j] < tol else check and _settled(gaps[j], n[j]) or None:
                     retire(j, est, q, r, step, 0, gaps[j] if check else math.inf, reason)
                     go[j] = False
             if not go.all():
-                fits, w, z, n, est, q, r, moved = (a[go] for a in (fits, w, z, n, est, q, r, moved))
-                history = list(np.array(history)[:, go])
-            since = since[-1:]
+                fits, w, z, n, est, q, r = (a[go] for a in (fits, w, z, n, est, q, r))
+                history = [ll[go] for ll in history]
+            since = [(est, q, r)]  # the stack as it goes on, indexed like ``fits``
     for j in range(len(fits)):
         retire(j, est, q, r, step)
     return [_newton_finish(e_grad[:-1], weights[i, 0, :-1], n_total[i], *fit, dim=dim, trace_target=trace_target,
@@ -361,8 +354,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
 def _newton_finish(e_build, weights, n_total, trace, est, ll, r, iterations, decreases, gap, reason, *,
                    dim, trace_target, tol) -> ProcessReconstruction:
     """Stage 2 of :func:`_ml_fixed_point` for one fit, from where its warm-up ended."""
-    own = weights > 0.0
-    if np.count_nonzero(own) < len(own):
+    if not (own := weights > 0.0).all():
         e_build, weights = e_build[own], weights[own]
 
     def probs(m):
@@ -467,12 +459,11 @@ def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:
 
 
 def ml_reconstruct_phases(counts_table) -> list[ProcessReconstruction]:
-    """:func:`ml_reconstruct_process` of ``settings_for_phase(counts_table, pi)`` for every phase, as one batch
-    whose counts form one ``(phases, n_ops)`` matrix; no :class:`TomographySetting` is built."""
+    """Each phase's :func:`ml_reconstruct_process` fit, as one batch that builds no :class:`TomographySetting`."""
     states, operators = _cardinal_design()
-    ops = np.array([operators[id(states[s]), id(states[o])]
-                    for s in counts_table.input_states for b in counts_table.bases for o in BASIS_OUTCOMES[b]])
-    return _ml_fixed_point(ops, counts_table.counts.sum(axis=(3, 5)).reshape(-1, len(ops)), CHOI_DIM, 2.0)
+    labels, counts = _outcome_counts(counts_table, slice(None))
+    ops = np.array([operators[id(states[s]), id(states[o])] for s, o in labels])
+    return _ml_fixed_point(ops, counts, CHOI_DIM, 2.0)
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -625,10 +616,15 @@ def settings_for_phase(counts_table, phase_index: int):
     zeroed.  Data detector D_d0 maps to the first outcome of the basis,
     D_d1 to the second.
     """
-    per_detector = counts_table.counts[phase_index].sum(axis=(2, 4))  # (state, basis, data detector)
     cardinal, _ = _cardinal_design()
+    labels, counts = _outcome_counts(counts_table, phase_index)
+    return [TomographySetting(cardinal[s], cardinal[o], c) for (s, o), c in zip(labels, counts[0].tolist())]
+
+
+def _outcome_counts(counts_table, phases):
+    """(state, outcome) labels in (state, basis, data detector) order, and a count row in that order per phase."""
     labels = [(s, o) for s in counts_table.input_states for b in counts_table.bases for o in BASIS_OUTCOMES[b]]
-    return [TomographySetting(cardinal[s], cardinal[o], c) for (s, o), c in zip(labels, per_detector.ravel().tolist())]
+    return labels, counts_table.counts[phases].sum(axis=(-3, -1)).reshape(-1, len(labels))
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):

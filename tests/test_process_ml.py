@@ -119,6 +119,9 @@ def two_peaks(i, j):
 
 # Exact counts of the fully depolarizing map, whose optimum is the maximally mixed start.
 DEPOLARIZING = np.full(36, 100.0)
+# Four outcomes whose RrhoR first lowers L at step 17, the step after a certificate check.
+LATE_OVERSHOOT = np.zeros(36)
+LATE_OVERSHOOT[[1, 7, 13, 30]] = [231.0, 168.0, 86.0, 282.0]
 NOISY_GATES = [expected_counts(0.9 * ideal_choi(phi) + 0.05 * np.eye(4)) for phi in (0.3, 2.0)]
 
 
@@ -138,10 +141,12 @@ def assert_same_fit(fit, alone):
 
 
 def test_example_rows_end_their_warmup_where_the_batch_test_needs():
-    # A two-peak row overshoots at RrhoR step 2 (a certificate is checked only at step 16), the
-    # depolarizing row certifies at step 16 with no Newton step, and the noisy gates run all 32 steps.
-    overshoot, depolarizing, *gates = fits_alone([two_peaks(0, 10), DEPOLARIZING, *NOISY_GATES])
+    # A two-peak row overshoots at RrhoR step 2 (a certificate is checked only at step 16), the sparse
+    # row at step 17, the depolarizing row certifies at step 16 with no Newton step, and the noisy
+    # gates run all 32 steps.
+    overshoot, late, depolarizing, *gates = fits_alone([two_peaks(0, 10), LATE_OVERSHOOT, DEPOLARIZING, *NOISY_GATES])
     assert warmup_steps(overshoot) == 2 and overshoot.likelihood_decreases >= 1
+    assert warmup_steps(late) == tomography._CHECK_EVERY + 1 and late.likelihood_decreases >= 1
     assert (depolarizing.iterations, depolarizing.newton_iterations) == (tomography._CHECK_EVERY, 0)
     assert all(warmup_steps(fit) == tomography._WARMUP_STEPS for fit in gates)
 
@@ -165,6 +170,7 @@ def count_batches(draw):
 @example(np.array([NOISY_GATES[0], two_peaks(0, 10), NOISY_GATES[1]]))
 @example(np.array([NOISY_GATES[0], DEPOLARIZING, NOISY_GATES[1]]))
 @example(np.array([two_peaks(3, 20), NOISY_GATES[1], DEPOLARIZING, 40.0 * np.eye(36)[7]]))
+@example(np.array([NOISY_GATES[0], DEPOLARIZING, LATE_OVERSHOOT, NOISY_GATES[1]]))
 def test_batched_fits_match_fits_one_at_a_time(batch):
     # Each fit of a batch stops by its own rules: the same steps, stop reason and estimate as alone.
     assume(np.all(batch.sum(axis=1) > 0))
