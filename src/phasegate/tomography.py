@@ -218,10 +218,9 @@ class StateReconstruction:
 def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
     """The maximally mixed start and float stacks of the ``kept`` operators, for :func:`_ml_fixed_point`.
 
-    Raises :class:`DataFormatError` if the operators do not span all Hermitian ``dim x dim`` matrices.
-
     Row k of ``grad`` dotted with vec(m) as floats is Re Tr[m E_k] for Hermitian m, and a row of 0 ends it;
     ``probe`` holds the same as columns, but vec(I) / trace_target last, which gives Tr[m] / trace_target.
+    A design whose operators do not span the Hermitian ``dim x dim`` matrices raises :class:`DataFormatError`.
     """
     flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, dim * dim)
     used = flat[np.frombuffer(kept, dtype=bool)]
@@ -256,32 +255,42 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                     tol: float = 0.0) -> list[ProcessReconstruction]:
     """Certified maximum likelihood over PSD ``dim x dim`` matrices with trace ``trace_target``.
 
-    ``counts`` has one row per fit, shape ``(k, n_ops)``, all against ``operators``.  Returns one
-    :class:`ProcessReconstruction` per row, whose ``choi`` is the ``dim x dim`` estimate.  Two stages,
-    each stopped by the certificate ``gap``:
+    ``counts`` has one row per fit, shape ``(k, n_ops)``, all against
+    ``operators``.  Returns one :class:`ProcessReconstruction` per row,
+    whose ``choi`` is the ``dim x dim`` estimate.  Two stages, each
+    stopped by the certificate ``gap``:
 
-    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS`` steps, checking the gap every
-       ``_CHECK_EVERY``.  Once at the support of the optimum it crawls: an optimal eigenvalue ``0``
-       whose direction ``v`` has the multiplier ``mu = 1 - trace_target * v^H R v`` shrinks only by
-       ``(1 - mu)^2`` per step (``mu`` is about 0.11 on calibrated data).  A step that would lower ``L``
-       ends the warm-up at the last accepted iterate.  The fits step as one ``(k, dim, dim)`` stack,
-       which a fit leaves at the first check after its own stop.  An outcome empty in every fit is
-       dropped; one empty in some fits has weight 0 there and 1 added to its ``p_k``, so that it adds
-       exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
-    2. Per fit, on its nonzero outcomes, damped Newton on a factor ``m = trace_target B B^H / |B|^2``
-       with ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of the iterate whose
-       multiplier is at least half the largest one, unless it is within the spread of the in-range
-       multipliers.  The factor carries no PSD constraint, so Newton converges quadratically to the
-       rank-limited maximum, which is the maximum when the rank is right.  ``L`` does not change under
-       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on its negative-curvature
-       eigenspace.  At most ``_FACTOR_STEPS`` steps.  If the pass ends uncertified (no damped step
-       raises ``L``, or the steps run out) and the rank dropped a direction that the optimum keeps, one
-       more pass of as many steps starts again from the warm-up iterate with every eigenvector kept.
+    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
+       steps, checking the gap every ``_CHECK_EVERY``.  Once at the
+       support of the optimum it crawls: an optimal eigenvalue ``0``
+       whose direction ``v`` has the multiplier ``mu = 1 - trace_target
+       * v^H R v`` shrinks only by ``(1 - mu)^2`` per step (``mu`` is
+       about 0.11 on calibrated data).  A step that would lower ``L`` ends
+       the warm-up at the last accepted iterate.  The fits step as one
+       ``(k, dim, dim)`` stack, which a fit leaves at the first check
+       after its own stop.  An outcome empty in every fit is dropped; one
+       empty in some fits has weight 0 there and 1 added to its ``p_k``,
+       so that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
+    2. Per fit, on its nonzero outcomes, damped Newton on a factor
+       ``m = trace_target B B^H / |B|^2`` with ``B`` of shape ``dim x rank``.
+       The rank drops every eigenvector of the iterate whose multiplier is
+       at least half the largest one, unless it is within the spread of
+       the in-range multipliers.  The factor carries no PSD constraint, so
+       Newton converges quadratically to the rank-limited maximum, which
+       is the maximum when the rank is right.  ``L`` does not change under
+       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on
+       its negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
+       If the pass ends uncertified (no damped step raises ``L``, or the
+       steps run out) and the rank dropped a direction that the optimum
+       keeps, one more pass of as many steps starts again from the
+       warm-up iterate with every eigenvector kept.
 
-    Every accepted iterate lowers the per-event log-likelihood by at most ``_DECREASE_TOL``, so the
-    trace is monotone; Newton backtracks until it does, from the truncated start too, and the trace of
-    a discarded pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR until a step
-    changes the iterate by less than ``tol`` in max norm; such a stop is not certified.
+    Every accepted iterate lowers the per-event log-likelihood by at most
+    ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
+    it does, from the truncated start too, and the trace of a discarded
+    pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR
+    until a step changes the iterate by less than ``tol`` in max norm;
+    such a stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
     keep = (counts > 0.0).any(axis=0)
