@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import pathlib
 import sys
 import zlib
@@ -190,14 +191,26 @@ class CountTable:
         return float(self.counts.sum())
 
     def to_csv(self, path) -> None:
-        keys = itertools.product(
-            [f"{phi:.12g}" for phi in self.phases], self.input_states, self.bases, PROGRAM_DETECTORS, DATA_DETECTORS
-        )
+        """Write the table as a count CSV: UTF-8 with no byte-order mark, LF line endings.
+
+        Records follow the C order of the ``(phase, state, basis, D_p, D_d, interval)`` grid, with phases at
+        ``.12g``, whole counts as integers and other counts at ``.12g``.  Two phases that do not differ in their
+        first 12 significant digits would read back as one: they raise :class:`DataFormatError` before any record.
+        """
+        spellings = [f"{phi:.12g}" for phi in self.phases]
+        first: dict[float | None, int] = {}  # phase read back -> index of the first phase that writes it
+        for i, s in enumerate(spellings):
+            if (j := first.setdefault(phi := _phase(s), i)) != i:
+                raise DataFormatError(f"phases {self.phases[j]!r} and {self.phases[i]!r} both read back as {phi!r}")
+        n, tails = self.n_intervals, [f",{t}," for t in range(self.n_intervals)]
+        values, index = np.unique(self.counts.ravel(), return_inverse=True)  # each distinct count is formatted once
+        formatted = [_format_count(c) for c in values.tolist()]
+        fields = list(map(formatted.__getitem__, index.tolist()))
+        keys = itertools.product(spellings, self.input_states, self.bases, PROGRAM_DETECTORS, DATA_DETECTORS)
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(CSV_HEADER + "\n")
-            for key, block in zip(keys, self.counts.reshape(-1, self.n_intervals)):
-                prefix = ",".join(key)
-                f.writelines(f"{prefix},{t},{_format_count(c)}\n" for t, c in enumerate(block.tolist()))
+            for k, prefix in enumerate(map(",".join, keys)):
+                f.write(prefix + ("\n" + prefix).join(map(operator.add, tails, fields[k * n:(k + 1) * n])) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "CountTable":

@@ -138,6 +138,14 @@ class TestCli:
         assert main(["simulate", "--seed", "4", "--out", str(tmp_path / "c")]) == EXIT_OK
         assert (tmp_path / "c" / "counts.csv").read_bytes() != a
 
+    def test_simulate_with_phases_that_read_back_as_one_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plan": {"phases": [0.1, 0.1 + 1e-13]}, "noise": {"n_intervals": 1}, "seed": 0}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert "both read back as 0.1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # neither counts.csv nor its temp file
+
     def test_staged_matches_one_shot_pipeline(self, small_config, tmp_path, capsys):
         staged = str(tmp_path / "staged")
         counts = f"{staged}/counts.csv"

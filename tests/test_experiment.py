@@ -1,11 +1,16 @@
 """Coincidence simulation against Born-rule and Poisson-statistics oracles."""
 
 import dataclasses
+import itertools
 import math
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasegate import experiment
 from phasegate.errors import ConfigError, DataFormatError
@@ -23,6 +28,7 @@ from phasegate.experiment import (
     rescale_efficiencies,
     select_without_feedforward,
     simulate_counts,
+    _format_count,
     usable_fraction,
 )
 from phasegate.gate import canonical_phase, gate_unitary
@@ -92,6 +98,27 @@ def row_by_row(path):
     if np.isnan(counts).any():
         return f"count CSV is missing {np.isnan(counts).sum()} records (index coverage incomplete)"
     return CountTable(tuple(phases), tuple(states), tuple(bases), counts)
+
+
+def _reference_to_csv(self, path):
+    """The row-loop body that ``CountTable.to_csv`` had, verbatim: the byte-for-byte oracle for the columnar write."""
+    keys = itertools.product(
+        [f"{phi:.12g}" for phi in self.phases], self.input_states, self.bases, PROGRAM_DETECTORS, DATA_DETECTORS
+    )
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for key, block in zip(keys, self.counts.reshape(-1, self.n_intervals)):
+            prefix = ",".join(key)
+            f.writelines(f"{prefix},{t},{_format_count(c)}\n" for t, c in enumerate(block.tolist()))
+
+
+def written_bytes(table):
+    """The bytes that ``CountTable.to_csv`` and :func:`_reference_to_csv` write for ``table``, in that order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        table.to_csv(ours)
+        _reference_to_csv(table, reference)
+        return ours.read_bytes(), reference.read_bytes()
 
 
 def per_setting_reference(plan, noise, seed):
@@ -373,6 +400,44 @@ class TestCountTableCsv:
         table.to_csv(first)
         CountTable.from_csv(first).to_csv(second)
         assert second.read_bytes() == first.read_bytes()
+
+    # Values whose spelling takes each branch of the count format: whole counts below 2**53, whole counts at
+    # and beyond it, which Python's int spells in full, signed zero, and non-integers at 12 significant digits.
+    _COUNT = st.sampled_from([0.0, -0.0, 1.0, 7.0, 2.0 ** 53, 1e20, 0.5, 1 / 3, 1e-300]) | st.integers(0, 10 ** 6).map(
+        float) | st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phases=st.lists(st.sampled_from(DEFAULT_PHASES + (0.123456789012, 1.0, 6.2)), min_size=1, max_size=2,
+                           unique=True),
+           states=st.lists(st.sampled_from(STATE_LABELS), min_size=1, max_size=3, unique=True),
+           bases=st.lists(st.sampled_from(BASIS_LABELS), min_size=1, max_size=2, unique=True),
+           n_intervals=st.integers(1, 12) | st.integers(1, 1100),
+           pool=st.lists(_COUNT, min_size=1, max_size=6), fill=st.integers(0, 2 ** 32 - 1))
+    @example(phases=[0.0], states=["0"], bases=["Z"], n_intervals=1, pool=[0.0, 1.0, 3.0], fill=0)
+    @example(phases=[1.0], states=["+"], bases=["X"], n_intervals=3, pool=[2.0 ** 53, 1e20], fill=1)
+    @example(phases=[1.0], states=["-i"], bases=["Y"], n_intervals=2, pool=[-0.0, 0.0, 4.0], fill=2)
+    @example(phases=[0.5], states=["1"], bases=["Z"], n_intervals=10, pool=[0.1, 1 / 3, 2.5e-7], fill=3)
+    @example(phases=[0.0, 2.0], states=["0", "+i"], bases=["Y", "X"], n_intervals=1001, pool=[0.0, 5.0, 12.75, 1e20],
+             fill=4)
+    def test_write_is_byte_identical_to_the_row_loop(self, phases, states, bases, n_intervals, pool, fill):
+        shape = (len(phases), len(states), len(bases), 2, 2, n_intervals)
+        counts = np.random.default_rng(fill).choice(np.array(pool), size=shape)
+        ours, reference = written_bytes(CountTable(tuple(phases), tuple(states), tuple(bases), counts))
+        assert ours == reference
+
+    def test_staged_fine_table_written_byte_identically(self):
+        noise = calibrated_noise(n_intervals=240, interval_s=0.15)
+        table = simulate_counts(ExperimentPlan(), noise, 0)
+        for written in (table, rescale_efficiencies(table, noise)):
+            ours, reference = written_bytes(written)
+            assert ours == reference
+
+    def test_phases_that_read_back_as_one_are_rejected_before_writing(self, tmp_path):
+        table = simulate_counts(ExperimentPlan(phases=(0.1, 0.1 + 1e-13)), ideal_noise(n_intervals=1), 0)
+        path = tmp_path / "counts.csv"
+        with pytest.raises(DataFormatError, match=r"^phases 0\.1 and 0\.10000000000010001 both read back as 0\.1$"):
+            table.to_csv(path)
+        assert not path.exists()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
