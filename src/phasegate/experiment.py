@@ -127,6 +127,28 @@ def calibrated_noise(**overrides) -> NoiseConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
+def _validate_axes(obj, error) -> None:
+    """Store the phases (canonical), input states and bases of ``obj`` as tuples; a faulty axis raises ``error``."""
+    for name in ("phases", "input_states", "bases"):
+        value = getattr(obj, name)
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{name} must be a list, got {value!r}")
+        object.__setattr__(obj, name, tuple(value))
+    if len(obj.phases) == 0:
+        raise error("phases must be non-empty")
+    for p in obj.phases:
+        # JSON true/false would pass as 1/0; NaN, infinities and ints beyond float range fail the bound.
+        if isinstance(p, bool) or not (isinstance(p, (int, float)) and abs(p) <= sys.float_info.max):
+            raise error(f"phases entries must be finite numbers, got {p!r}")
+    object.__setattr__(obj, "phases", tuple(canonical_phase(p) for p in obj.phases))
+    if len(set(obj.phases)) != len(obj.phases):
+        raise error("phases contains duplicates after canonicalization")
+    for name, allowed in (("input_states", STATE_LABELS), ("bases", BASIS_LABELS)):
+        values = getattr(obj, name)
+        if not values or not all(v in allowed for v in values) or len(set(values)) != len(values):
+            raise error(f"{name} must be distinct entries of {allowed}, got {values!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Which settings to measure: programmed phases, inputs and bases."""
@@ -136,24 +158,7 @@ class ExperimentPlan:
     bases: tuple[str, ...] = BASIS_LABELS
 
     def __post_init__(self):
-        for name in ("phases", "input_states", "bases"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        if len(self.phases) == 0:
-            raise ConfigError("phases must be non-empty")
-        for p in self.phases:
-            # JSON true/false would pass as 1/0; NaN, infinities and ints beyond float range fail the bound.
-            if isinstance(p, bool) or not (isinstance(p, (int, float)) and abs(p) <= sys.float_info.max):
-                raise ConfigError(f"phases entries must be finite numbers, got {p!r}")
-        object.__setattr__(self, "phases", tuple(canonical_phase(p) for p in self.phases))
-        if len(set(self.phases)) != len(self.phases):
-            raise ConfigError("phases contains duplicates after canonicalization")
-        for name, allowed in (("input_states", STATE_LABELS), ("bases", BASIS_LABELS)):
-            values = getattr(self, name)
-            if not values or not all(v in allowed for v in values) or len(set(values)) != len(values):
-                raise ConfigError(f"{name} must be distinct entries of {allowed}, got {values!r}")
+        _validate_axes(self, ConfigError)
 
 
 @dataclass
@@ -165,6 +170,7 @@ class CountTable:
     axis (D_d0, D_d1).  Entries are floats so that efficiency-rescaled
     tables fit the same container; raw simulated tables hold integers.
     Every index combination exists by construction, zeros included.
+    Its axes obey :class:`ExperimentPlan`'s rules, phases canonical, or raise :class:`DataFormatError`.
     """
 
     phases: tuple[float, ...]
@@ -173,6 +179,7 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
+        _validate_axes(self, DataFormatError)
         expected = (len(self.phases), len(self.input_states), len(self.bases), 2, 2)
         c = np.asarray(self.counts, dtype=float)
         if c.ndim != 6 or c.shape[:5] != expected:
@@ -198,7 +205,7 @@ class CountTable:
         first 12 significant digits would read back as one: they raise :class:`DataFormatError` before any record.
         """
         spellings = [f"{phi:.12g}" for phi in self.phases]
-        first: dict[float | None, int] = {}  # phase read back -> index of the first phase that writes it
+        first: dict[float, int] = {}  # phase read back -> index of the first phase that writes it
         for i, s in enumerate(spellings):
             if (j := first.setdefault(phi := _phase(s), i)) != i:
                 raise DataFormatError(f"phases {self.phases[j]!r} and {self.phases[i]!r} both read back as {phi!r}")

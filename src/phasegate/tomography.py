@@ -22,8 +22,8 @@ off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
 2003), which has no PSD constraint left and converges quadratically.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a count table: the warm-up steps one ``(k, 4, 4)`` stack, each
-fit with its own stops and weight 0 on the outcomes it lacks, and Newton
-finishes each fit on its own.
+fit with weight 0 on the outcomes it lacks, and judges each fit once, at its
+end; Newton finishes each fit on its own.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -62,9 +62,7 @@ MAX_ITERS = 10**5
 # A step is treated as a likelihood decrease only beyond this slack;
 # per-event log-likelihoods are O(1), so this sits well above rounding.
 _DECREASE_TOL = 1e-14
-# RrhoR evaluates its certificate every this many iterations (one eigvalsh each).
-_CHECK_EVERY = 16
-# RrhoR steps before Newton on the factor takes over, and the Newton steps of each pass.
+# RrhoR steps of the warm-up, after which each fit is judged once, and the Newton steps of each pass.
 _WARMUP_STEPS = 32
 _FACTOR_STEPS = 24
 # Hessian eigenvalues above this fraction of the largest |eigenvalue| below zero count as flat.
@@ -260,17 +258,18 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     whose ``choi`` is the ``dim x dim`` estimate.  Two stages, each
     stopped by the certificate ``gap``:
 
-    1. RrhoR from the maximally mixed point, at most ``_WARMUP_STEPS``
-       steps, checking the gap every ``_CHECK_EVERY``.  Once at the
-       support of the optimum it crawls: an optimal eigenvalue ``0``
-       whose direction ``v`` has the multiplier ``mu = 1 - trace_target
-       * v^H R v`` shrinks only by ``(1 - mu)^2`` per step (``mu`` is
-       about 0.11 on calibrated data).  A step that would lower ``L`` ends
-       the warm-up at the last accepted iterate.  The fits step as one
-       ``(k, dim, dim)`` stack, which a fit leaves at the first check
-       after its own stop.  An outcome empty in every fit is dropped; one
-       empty in some fits has weight 0 there and 1 added to its ``p_k``,
-       so that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
+    1. ``_WARMUP_STEPS`` steps of RrhoR from the maximally mixed point.
+       Once at the support of the optimum it crawls: an optimal eigenvalue
+       ``0`` whose direction ``v`` has the multiplier ``mu = 1 -
+       trace_target * v^H R v`` shrinks only by ``(1 - mu)^2`` per step
+       (``mu`` is about 0.11 on calibrated data).  The fits step as one
+       ``(k, dim, dim)`` stack that keeps every iterate, and each fit is
+       judged once, at the end: its first step that would lower ``L``
+       sends it to Newton from the iterate before, and otherwise the gap
+       at its last iterate decides between a stop and Newton.  An outcome
+       empty in every fit is dropped; one empty in some fits has weight 0
+       there and 1 added to its ``p_k``, so that it adds exactly 0 to
+       ``L`` and ``R`` (not ``0 log 0``).
     2. Per fit, on its nonzero outcomes, damped Newton on a factor
        ``m = trace_target B B^H / |B|^2`` with ``B`` of shape ``dim x rank``.
        The rank drops every eigenvector of the iterate whose multiplier is
@@ -288,9 +287,10 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
     it does, from the truncated start too, and the trace of a discarded
-    pass is cut back to the warm-up.  ``tol > 0`` keeps the fit in RrhoR
-    until a step changes the iterate by less than ``tol`` in max norm;
-    such a stop is not certified.
+    pass is cut back to the warm-up.  ``tol > 0`` keeps the fits in RrhoR
+    until each has lowered ``L`` or taken a step that changes the iterate
+    by less than ``tol`` in max norm, its first such step ending it; a
+    still stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
     keep = (counts > 0.0).any(axis=0)
@@ -302,65 +302,57 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     # the weight -1 on q_0 gives L = sum_k f_k log q_k - log q_0 and the gradient R / q_0.  The weights of
     # each fit are a (1, n) matrix of their own, so that its products do not depend on the other fits.
     weights = np.concatenate([counts[:, None, keep], -n_total[:, None, None]], axis=2) / n_total[:, None, None]
-    fits, w, z, n = np.arange(len(counts)), weights, weights == 0.0, n_total  # the fits in the warm-up
-    shifted, warm = np.count_nonzero(z) > 0, [None] * len(counts)  # warm: per fit, where Newton starts
+    empty = weights == 0.0
+    shifted = np.count_nonzero(empty) > 0
 
     def probe(m):
         q = m.reshape(len(m), 1, -1).view(float) @ e_probe
         if shifted:
-            q += z
-        return q, np.vecdot(w, np.log(q))
+            q += empty
+        return q, np.vecdot(weights, np.log(q))
 
     def gradient(q):
-        return ((w / q) @ e_grad).view(complex).reshape(len(q), dim, dim)
-
-    def retire(j, est, q, r, iterations, decreases=0, gap=math.inf, reason=None):  # from the last good stack
-        trace = [ll.item(j) for ll in history[: iterations - decreases + 1]]
-        warm[fits[j]] = trace, est[j] / q[j, 0, -1], trace[-1], r[j] * q[j, 0, -1], iterations, decreases, gap, reason
+        return ((weights / q) @ e_grad).view(complex).reshape(len(q), dim, dim)
 
     est = start.repeat(len(counts), axis=0)
     q, ll = probe(est)
-    r = gradient(q)
-    history, since, step = [ll], [(est, q, r)], 0
-    warmup = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS
-    while len(fits) and step < warmup:
-        step += 1
-        previous, est = est, r @ est @ r
+    iterates, history, still = [(est, q, gradient(q))], [ll], []
+    warmup, ended = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS, np.zeros(len(counts), dtype=bool)
+    while len(history) <= warmup and not (tol > 0.0 and ended.all()):  # only tol > 0 ends fits in the loop
+        previous, _, r = iterates[-1]
+        est = r @ previous @ r
         q, ll = probe(est)
         if tol > 0.0:  # iterates at trace_target, and the step between them
             est, q = est / q[:, :, -1:], q / q[:, :, -1:]
-            moved = np.abs(est - previous).max(axis=(1, 2))
-        r = gradient(q)
+            still.append(np.abs(est - previous).max(axis=(1, 2)) < tol)
+            ended |= still[-1] | ~(ll[:, 0] >= history[-1][:, 0] - _DECREASE_TOL)
+        iterates.append((est, q, gradient(q)))
         history.append(ll)
-        since.append((est, q, r))
-        if (check := step % _CHECK_EVERY == 0) or step == warmup or tol > 0.0:
-            # Since the last check: a step that would lower L (or make it NaN) ends a fit's warm-up at the
-            # iterate before it, and the stack stepped on regardless.
-            recent = np.concatenate(history[-len(since) :], axis=1)
-            fell = ~(recent[:, 1:] >= recent[:, :-1] - _DECREASE_TOL)
-            over = fell.any(axis=1)
-            if check:
-                lam = np.linalg.eigvalsh(np.where(over[:, None, None], 0.0, r))[:, -1]
-                gaps = (n * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
-            go = ~over
-            for j in range(len(fits)):
-                if over[j]:
-                    back = int(fell[j].argmax())
-                    retire(j, *since[back], step - len(since) + back + 2, 1)
-                elif reason := "step" if tol > 0.0 and moved[j] < tol else check and _settled(gaps[j], n[j]) or None:
-                    retire(j, est, q, r, step, 0, gaps[j] if check else math.inf, reason)
-                    go[j] = False
-            if not go.all():
-                fits, w, z, n, est, q, r = (a[go] for a in (fits, w, z, n, est, q, r))
-                history = [ll[go] for ll in history]
-            since = [(est, q, r)]  # the stack as it goes on, indexed like ``fits``
-    for j in range(len(fits)):
-        retire(j, est, q, r, step)
-    return [_newton_finish(e_grad[:-1], weights[i, 0, :-1], n_total[i], *fit, dim=dim, trace_target=trace_target,
-                           tol=tol) for i, fit in enumerate(warm)]
+    # Each fit is judged once, by its first step that lowered L (or made it NaN) or stood still, else by its
+    # certificate at the last iterate.  The stack stepped on past a fit's end; those iterates are ignored.
+    lls = np.concatenate(history, axis=1)
+    fell = ~(lls[:, 1:] >= lls[:, :-1] - _DECREASE_TOL)
+    stops = fell | np.array(still).T if tol > 0.0 else fell
+    first, ended = stops.argmax(axis=1).tolist(), stops.any(axis=1)
+    est, q, r = iterates[-1]
+    lam = np.linalg.eigvalsh(np.where(ended[:, None, None], 0.0, r))[:, -1]
+    gaps = (n_total * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
+    fits = []
+    for j, i in enumerate(first):
+        if not ended[j]:
+            at, decreases, gap, reason = len(history) - 1, 0, gaps[j], _settled(gaps[j], n_total[j])
+        elif fell[j, i]:
+            at, decreases, gap, reason = i, 1, math.inf, None
+        else:
+            at, decreases, gap, reason = i + 1, 0, math.inf, "step"
+        est, q, r = iterates[at]
+        fits.append(_newton_finish(e_grad[:-1], weights[j, 0, :-1], n_total[j], lls[j, : at + 1].tolist(),
+                                   est[j] / q[j, 0, -1], r[j] * q[j, 0, -1], at + decreases, decreases, gap, reason,
+                                   dim=dim, trace_target=trace_target, tol=tol))
+    return fits
 
 
-def _newton_finish(e_build, weights, n_total, trace, est, ll, r, iterations, decreases, gap, reason, *,
+def _newton_finish(e_build, weights, n_total, trace, est, r, iterations, decreases, gap, reason, *,
                    dim, trace_target, tol) -> ProcessReconstruction:
     """Stage 2 of :func:`_ml_fixed_point` for one fit, from where its warm-up ended."""
     if not (own := weights > 0.0).all():
@@ -390,7 +382,7 @@ def _newton_finish(e_build, weights, n_total, trace, est, ll, r, iterations, dec
         dropped = multipliers > max(0.5 * multipliers.max(), abs(multipliers.min()))
         ops_t = e_build.view(complex).reshape(-1, dim, dim).transpose(0, 2, 1)
         row = 2 * dim
-        warm = est, ll, r, len(trace)
+        warm = est, trace[-1], r, len(trace)
         # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
         passes = [~dropped, np.ones_like(dropped)] if dropped.any() else [~dropped]
         for kept in passes:
@@ -444,7 +436,7 @@ def _newton_finish(e_build, weights, n_total, trace, est, ll, r, iterations, dec
     if reason in (None, "step"):
         gap = certificate(r)
         reason = _settled(gap, n_total) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
-    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, float(n_total * ll),
+    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, float(n_total * trace[-1]),
                                  np.asarray(trace), decreases, gap, reason, iterations - newton_start)
 
 

@@ -15,6 +15,9 @@ Tolerances, and why:
 * ``counts.csv`` is pinned by sha256.  Simulation is deterministic in
   the seed, so any change to the random stream or the CSV format shows
   here; a change that alters it on purpose re-pins it and says so.
+* The ``iterations`` line of every Choi file is pinned exactly: the
+  RrhoR and Newton steps of each process fit, so a change to the fit
+  schedule shows here even where it leaves every figure in place.
 * ``F_chi`` and ``success_probability`` must equal the 9 significant
   digits written to ``report.csv``.  They come from the process fit and
   from counting alone, so a change to the state estimator cannot move
@@ -36,15 +39,17 @@ import pytest
 
 from phasegate import RunConfig, calibrated_noise, ideal_noise, run_pipeline, write_pipeline_artifacts
 from phasegate.pipeline import PipelineResult
-from phasegate.tomography import GAP_TOL
+from phasegate.tomography import GAP_TOL, load_choi
 
 STATE_FIGURE_ATOL = 1e-6
 
-# Rows of report.csv: phi, F_chi, F_av, F_min, P_av, P_min, feed_forward_active, success_probability.
+# Per run: the noise, the sha256 of counts.csv, the iterations of choi_ff_p00..06 and choi_noff_p00..06, and the
+# rows of report.csv: phi, F_chi, F_av, F_min, P_av, P_min, feed_forward_active, success_probability.
 PINS = {
     "ideal16k": (
         ideal_noise(pair_rate=16000),
         "175fb21511ee7509f95e406f11272ef4541ca8d4083552fd238809723d00ceb9",
+        ((33, 41, 42, 33, 41, 44, 33), (33, 41, 41, 33, 45, 39, 33)),
         """\
 0,0.999999534,0.999999151,0.99999782,1,1,1,0.500024705
 0.523598775598,0.99984403,0.999807682,0.999251333,0.999618953,0.998506783,1,0.500024705
@@ -65,6 +70,7 @@ PINS = {
     "calibrated": (
         calibrated_noise(),
         "7c4bf799881d8aec871f3077b4df0a707e74b2ec31a64ff6d9dbefcbe3ce1e5b",
+        ((34, 34, 34, 34, 34, 40, 34), (34, 34, 34, 34, 34, 41, 34)),
         """\
 0,0.974463549,0.982947509,0.971986497,0.966963984,0.945661619,1,0.500292098
 0.523598775598,0.974371982,0.982947673,0.965759755,0.966866734,0.93396809,1,0.500292098
@@ -88,6 +94,8 @@ PINS = {
 class LockedRun(NamedTuple):
     out: Path
     counts_sha: str
+    #: Pinned ``iterations`` of the Choi files, per analysis (ff, noff) and phase.
+    choi_iterations: tuple
     #: Pinned report.csv rows, split into fields.
     expected: list
     result: PipelineResult
@@ -95,12 +103,12 @@ class LockedRun(NamedTuple):
 
 @pytest.fixture(scope="module", params=sorted(PINS))
 def locked_run(request, tmp_path_factory):
-    noise, counts_sha, report_rows = PINS[request.param]
+    noise, counts_sha, choi_iterations, report_rows = PINS[request.param]
     out = tmp_path_factory.mktemp(request.param)
     cfg = RunConfig(noise=noise, seed=1, output_dir=str(out))
     result = run_pipeline(cfg)
     write_pipeline_artifacts(cfg, result)
-    return LockedRun(out, counts_sha, [row.split(",") for row in report_rows.splitlines()], result)
+    return LockedRun(out, counts_sha, choi_iterations, [row.split(",") for row in report_rows.splitlines()], result)
 
 
 def _report_rows(out):
@@ -110,6 +118,12 @@ def _report_rows(out):
 
 def test_counts_csv_sha256(locked_run):
     assert hashlib.sha256((locked_run.out / "counts.csv").read_bytes()).hexdigest() == locked_run.counts_sha
+
+
+def test_choi_iterations(locked_run):
+    got = tuple(tuple(int(load_choi(locked_run.out / f"choi_{tag}_p{pi:02d}.txt")[1]["iterations"]) for pi in range(7))
+                for tag in ("ff", "noff"))
+    assert got == locked_run.choi_iterations
 
 
 def test_process_fidelity_and_success_exact(locked_run):

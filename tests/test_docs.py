@@ -1,4 +1,4 @@
-"""The README quick start and the demos run as written; its export list and flag table match the code."""
+"""The README quick start and the demos run as written; its export list, flag table and fit constants match the code."""
 
 import os
 import re
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import phasegate
+from phasegate import tomography
 from phasegate.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +48,9 @@ def test_readme_flag_table_matches_the_parser():
     rows = re.findall(r"^\| `(\w+)` +\| (.*?) \|$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
     table = {command: tuple(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows}
     assert table == {command: flags for command, (_, _, flags) in _COMMANDS.items()}
+
+
+def test_readme_fit_constants_match_the_code():
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert int(re.search(r"at most (\d+) steps of the RρR", text).group(1)) == tomography._WARMUP_STEPS
+    assert float(re.search(r"within (\S+) nats", text).group(1)) == tomography.GAP_TOL

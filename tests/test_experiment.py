@@ -439,6 +439,28 @@ class TestCountTableCsv:
             table.to_csv(path)
         assert not path.exists()
 
+    # Each table would write a count CSV that from_csv refuses, or reads back with other phases.
+    @pytest.mark.parametrize("phases, states, bases, message", [
+        ((math.nan,), ("0",), ("Z",), "phases entries must be finite"),
+        ((0.0,), ("bogus",), ("Z",), "input_states must be distinct entries"),
+        ((0.0,), ("0", "0"), ("Z",), "input_states must be distinct entries"),
+        ((0.0,), ("0",), ("W",), "bases must be distinct entries"),
+        ((), ("0",), ("Z",), "phases must be non-empty"),
+        ((0.0,), (), ("Z",), "input_states must be distinct entries"),
+        ((0.0, 2 * np.pi), ("0",), ("Z",), "phases contains duplicates"),
+    ], ids=["nan-phase", "unknown-state", "repeated-state", "unknown-basis", "no-phases", "no-states",
+            "phases-one-modulo-2pi"])
+    def test_table_whose_csv_would_not_read_back_is_rejected(self, phases, states, bases, message):
+        with pytest.raises(DataFormatError, match=message):
+            CountTable(phases, states, bases, np.zeros((len(phases), len(states), len(bases), 2, 2, 1)))
+
+    def test_phases_are_stored_canonical_and_read_back_as_stored(self, tmp_path):
+        table = CountTable((-0.5, 7.0), ("0",), ("Z",), np.ones((2, 1, 1, 2, 2, 1)))
+        assert table.phases == (canonical_phase(-0.5), canonical_phase(7.0))
+        path = tmp_path / "counts.csv"
+        table.to_csv(path)
+        np.testing.assert_allclose(CountTable.from_csv(path).phases, table.phases, rtol=0, atol=1e-11)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("phase,input_state\n")

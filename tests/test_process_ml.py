@@ -119,7 +119,7 @@ def two_peaks(i, j):
 
 # Exact counts of the fully depolarizing map, whose optimum is the maximally mixed start.
 DEPOLARIZING = np.full(36, 100.0)
-# Four outcomes whose RrhoR first lowers L at step 17, the step after a certificate check.
+# Four outcomes whose RrhoR first lowers L at step 17, midway through the warm-up.
 LATE_OVERSHOOT = np.zeros(36)
 LATE_OVERSHOOT[[1, 7, 13, 30]] = [231.0, 168.0, 86.0, 282.0]
 NOISY_GATES = [expected_counts(0.9 * ideal_choi(phi) + 0.05 * np.eye(4)) for phi in (0.3, 2.0)]
@@ -129,8 +129,8 @@ def warmup_steps(fit):
     return fit.iterations - fit.newton_iterations
 
 
-def fits_alone(rows):
-    return [ml_reconstruct_process([TomographySetting(rho, pi, c) for (rho, pi), c in zip(DESIGN, row)])
+def fits_alone(rows, tol=0.0):
+    return [ml_reconstruct_process([TomographySetting(rho, pi, c) for (rho, pi), c in zip(DESIGN, row)], tol)
             for row in rows]
 
 
@@ -141,19 +141,19 @@ def assert_same_fit(fit, alone):
 
 
 def test_example_rows_end_their_warmup_where_the_batch_test_needs():
-    # A two-peak row overshoots at RrhoR step 2 (a certificate is checked only at step 16), the sparse
-    # row at step 17, the depolarizing row certifies at step 16 with no Newton step, and the noisy
-    # gates run all 32 steps.
+    # A two-peak row overshoots at RrhoR step 2 and the sparse row at step 17, each going on to Newton;
+    # the depolarizing row starts at its optimum and certifies at the end of the warm-up with no Newton
+    # step, and the noisy gates run all 32 steps before Newton.
     overshoot, late, depolarizing, *gates = fits_alone([two_peaks(0, 10), LATE_OVERSHOOT, DEPOLARIZING, *NOISY_GATES])
     assert warmup_steps(overshoot) == 2 and overshoot.likelihood_decreases >= 1
-    assert warmup_steps(late) == tomography._CHECK_EVERY + 1 and late.likelihood_decreases >= 1
-    assert (depolarizing.iterations, depolarizing.newton_iterations) == (tomography._CHECK_EVERY, 0)
+    assert warmup_steps(late) == 17 and late.likelihood_decreases >= 1
+    assert (depolarizing.iterations, depolarizing.newton_iterations) == (tomography._WARMUP_STEPS, 0)
     assert all(warmup_steps(fit) == tomography._WARMUP_STEPS for fit in gates)
 
 
 @st.composite
 def count_batches(draw):
-    """One to six count rows, maybe with an early overshoot, a step-16 certificate and an outcome empty in all."""
+    """One to six rows, maybe with an early overshoot, a row whose start is optimal and an outcome empty in all."""
     rows = draw(st.lists(tables, min_size=1, max_size=4))
     if draw(st.booleans()):
         rows.append(two_peaks(*draw(st.lists(st.integers(0, 35), min_size=2, max_size=2, unique=True))))
@@ -219,6 +219,17 @@ def test_update_tol_stops_uncertified_in_rrhor(dataset_phases):
     assert fit.stop_reason == "step" and not fit.converged
     assert fit.certified_gap > GAP_TOL
     assert fit.newton_iterations == 0
+
+
+def test_update_tol_stops_each_fit_of_a_batch_as_alone(dataset_phases):
+    # Under tol > 0 the stack steps until every fit has stood still or lowered L, and each fit ends at its own
+    # first such step: still steps 86, 110 and 82 on three calibrated phases, an overshoot at step 2.
+    rows = [[s.count for s in dataset_phases["calibrated", 1][pi]] for pi in (0, 1, 3)] + [two_peaks(0, 10)]
+    fits = tomography._ml_fixed_point(OPERATORS, np.array(rows), 4, 2.0, tol=3e-9)
+    assert [(fit.iterations, fit.stop_reason) for fit in fits[:3]] == [(86, "step"), (110, "step"), (82, "step")]
+    assert (fits[3].iterations, fits[3].stop_reason) == (2, "stalled")
+    for fit, alone in zip(fits, fits_alone(rows, tol=3e-9)):
+        assert_same_fit(fit, alone)
 
 
 def test_exhausted_newton_stops_stalled(monkeypatch):
