@@ -29,6 +29,7 @@ from phasegate.experiment import (
     select_without_feedforward,
     simulate_counts,
     _format_count,
+    _numbers,
     usable_fraction,
 )
 from phasegate.gate import canonical_phase, gate_unitary
@@ -600,7 +601,9 @@ class TestCountTableCsv:
     def test_matches_row_by_row_reference(self, tmp_path):
         rng = np.random.default_rng(29)
         junk = ["", "x", "-1", "0", "nan", "inf", "+3", " 4", "1_0", "2.5", "\u0663", "1e400", "q", "D_p1", "Y",
-                "6.283185307179586"]
+                "6.283185307179586", "007", "5.", ".5", ".", "1.2.3", "2.5e-07", "\t3", "Z ", '"Z"', "\x00"]
+        # Counts only: as an interval, each would ask the reference for 10**14 records or more.
+        long_counts = ["123456789012345", "1234567.8901234", "1234567890123456", "1234567890123456789"]
         path = tmp_path / "table.csv"
         rejected = 0
         for trial in range(200):
@@ -615,7 +618,8 @@ class TestCountTableCsv:
                 fields = rows[i].split(",")
                 kind = rng.integers(4)
                 if kind == 0:
-                    fields[rng.integers(len(fields))] = str(rng.choice(junk))
+                    field = int(rng.integers(len(fields)))
+                    fields[field] = str(rng.choice(junk + long_counts if field == 6 else junk))
                 elif kind == 1:
                     fields = fields[:-1] if rng.integers(2) else fields + ["1"]
                 elif kind == 2:
@@ -655,6 +659,65 @@ class TestCountTableCsv:
         # Setting 1 times 2**62 + 1 intervals lies beyond int64, so no flat index may be built.
         msg = self._rejection(tmp_path, [self.GOOD, f"0,0,Z,D_p0,D_d1,{2**62},5"])
         assert msg == f"count CSV is missing {4 * (2**62 + 1) - 2} records (index coverage incomplete)"
+
+    @pytest.mark.parametrize("interval, message", [
+        (str(2**63 - 1), f"count CSV is missing {4 * 2**63 - 1} records (index coverage incomplete)"),
+        (str(2**63), f"line 2: interval {2**63} out of range"),
+        ("000" + str(2**63), f"line 2: interval {2**63} out of range"),
+        (str(2**64), f"line 2: interval {2**64} out of range"),
+        ("9" * 40, f"line 2: interval {'9' * 40} out of range"),
+        (str(-2**63 - 1), f"line 2: negative interval {-2**63 - 1}"),
+    ], ids=["int64-max", "2**63", "2**63-leading-zeros", "2**64", "40-digits", "below-int64"])
+    def test_interval_at_the_edges_of_int64(self, tmp_path, interval, message):
+        assert self._rejection(tmp_path, [f"0,0,Z,D_p0,D_d0,{interval},5"]) == message
+
+    def test_staged_fine_table_parses_as_row_by_row(self, tmp_path):
+        # 120,960 records in runs of 240 equal prefixes, and 8-byte loads up to the last line of the file.
+        noise = calibrated_noise(n_intervals=240, interval_s=0.15)
+        table = simulate_counts(ExperimentPlan(), noise, 0)
+        path = tmp_path / "counts.csv"
+        for written, shuffle in ((table, False), (rescale_efficiencies(table, noise), False), (table, True)):
+            written.to_csv(path)
+            if shuffle:
+                header, *rows = path.read_text().splitlines()
+                path.write_text("\n".join([header, *np.random.default_rng(0).permutation(rows)]) + "\n")
+            got, expected = CountTable.from_csv(path), row_by_row(path)
+            assert got.phases == expected.phases
+            assert (got.input_states, got.bases) == (expected.input_states, expected.bases)
+            assert got.counts.tobytes() == expected.counts.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fields=st.lists(st.text("0123456789.", min_size=1, max_size=17) | st.text("0123456789./:\x00 ", max_size=4)
+                           | st.sampled_from(["9" * 15, "9" * 14 + ".", "." + "9" * 14, "4503599627370497", "0.1",
+                                              "1" + "0" * 14, "1.2.3", ".", "..", "5.", ".5", "\x00"]),
+                           min_size=1, max_size=40))
+    def test_bulk_digits_read_as_python_reads_them(self, fields):
+        # Clinger's condition holds for every field of at most 15 bytes; longer ones take Python's own reading.
+        def numbers(spellings, parse):
+            stop = np.cumsum([1 + len(f) for f in spellings])
+            return _numbers(("," + ",".join(spellings)).encode(), stop - [len(f) for f in spellings], stop, parse)
+
+        for parse in (int, float):
+            read, refused = [], []
+            for f in fields:
+                try:
+                    read.append((f, parse(f)))
+                except ValueError:
+                    refused.append(f)
+            if read:
+                got = numbers([f for f, _ in read], parse)
+                assert got.tobytes() == np.array([v for _, v in read], dtype=got.dtype).tobytes()
+            for f in refused:
+                with pytest.raises(ValueError):
+                    numbers([f], parse)
+
+    def test_phase_just_below_two_pi_reads_back_as_written(self, tmp_path):
+        # 2*pi - 1e-13 spelled at .12g is 6.28318530718, which is above 2*pi and would read back as 4.1e-13.
+        table = CountTable((2 * np.pi - 1e-13,), ("0",), ("Z",), np.ones((1, 1, 1, 2, 2, 1)))
+        path = tmp_path / "counts.csv"
+        table.to_csv(path)
+        assert path.read_text().splitlines()[1] == "-1.00364161426e-13,0,Z,D_p0,D_d0,0,1"
+        assert CountTable.from_csv(path).phases == table.phases == (6.283185307179486,)
 
     def test_interval_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "huge.csv"
