@@ -98,12 +98,10 @@ def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool)
         raise ConfigError(f"usable fraction {success:.6g} is above 1: after division by the efficiencies eta_*, "
                           "the table holds more events than pair_rate * interval_s pairs per setting and interval")
     processes = ml_reconstruct_phases(rescaled)
-    for pi, proc in enumerate(processes):
-        if not proc.converged:
-            raise ConvergenceError(
-                f"process reconstruction at phase index {pi} stopped uncertified ({proc.stop_reason}) after "
-                f"{proc.iterations} iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
-            )
+    if uncertified := [f"phase index {pi} stopped uncertified ({proc.stop_reason}) after {proc.iterations} iterations: "
+                       f"certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
+                       for pi, proc in enumerate(processes) if not proc.converged]:
+        raise ConvergenceError("process reconstruction at " + "; ".join(uncertified))
     outputs = [[ml_reconstruct_state(state_basis_counts(rescaled, pi, si)) for si in range(len(table.input_states))]
                for pi in range(len(table.phases))]
     return ReconstructionSet(feed_forward, table.phases, table.input_states, processes, outputs, success)

@@ -23,7 +23,7 @@ off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a count table: the warm-up steps one ``(k, 4, 4)`` stack, each
 fit with weight 0 on the outcomes it lacks, and judges each fit once, at its
-end; Newton finishes each fit on its own.
+end; Newton steps the fits of one factor rank as one stack, in real arithmetic.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -218,6 +218,8 @@ def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
 
     Row k of ``grad`` dotted with vec(m) as floats is Re Tr[m E_k] for Hermitian m, and a row of 0 ends it;
     ``probe`` holds the same as columns, but vec(I) / trace_target last, which gives Tr[m] / trace_target.
+    ``forms[k]`` is the real symmetric form of E_k on the float view b of a vector, b . forms[k] b = b^H E_k b,
+    and the identity last, the form of I.
     A design whose operators do not span the Hermitian ``dim x dim`` matrices raises :class:`DataFormatError`.
     """
     flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, dim * dim)
@@ -226,8 +228,11 @@ def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
     probe, grad = (np.vstack([used, row]).view(float) for row in (trace_row, 0.0 * trace_row))
     if (rank := int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))) < dim * dim:
         raise DataFormatError(f"measurement design is rank-deficient: spans {rank} of {dim * dim} dimensions")
+    ext = np.vstack([used, np.eye(dim).reshape(1, -1)])
+    forms = np.array([[ext.real, -ext.imag], [ext.imag, ext.real]]).reshape(2, 2, -1, dim, dim)
+    forms = forms.transpose(2, 3, 0, 4, 1).reshape(-1, 2 * dim, 2 * dim)
     start = np.eye(dim, dtype=complex)[None] * (trace_target / dim)
-    return _read_only(start), _read_only(probe.T.copy()), _read_only(grad)
+    return _read_only(start), _read_only(probe.T.copy()), _read_only(grad), _read_only(forms)
 
 
 #: Values of ``ProcessReconstruction.stop_reason``; the first two set ``converged``.  ``certified``:
@@ -270,19 +275,21 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        empty in every fit is dropped; one empty in some fits has weight 0
        there and 1 added to its ``p_k``, so that it adds exactly 0 to
        ``L`` and ``R`` (not ``0 log 0``).
-    2. Per fit, on its nonzero outcomes, damped Newton on a factor
-       ``m = trace_target B B^H / |B|^2`` with ``B`` of shape ``dim x rank``.
-       The rank drops every eigenvector of the iterate whose multiplier is
-       at least half the largest one, unless it is within the spread of
-       the in-range multipliers.  The factor carries no PSD constraint, so
-       Newton converges quadratically to the rank-limited maximum, which
-       is the maximum when the rank is right.  ``L`` does not change under
-       ``B -> c B U`` for unitary ``U``, so the Hessian is inverted only on
-       its negative-curvature eigenspace.  At most ``_FACTOR_STEPS`` steps.
-       If the pass ends uncertified (no damped step raises ``L``, or the
-       steps run out) and the rank dropped a direction that the optimum
-       keeps, one more pass of as many steps starts again from the
-       warm-up iterate with every eigenvector kept.
+    2. Damped Newton on a factor ``m = trace_target B B^H / |B|^2`` with
+       ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of
+       the iterate whose multiplier is at least half the largest one,
+       unless it is within the spread of the in-range multipliers.  The
+       factor carries no PSD constraint, so Newton converges quadratically
+       to the rank-limited maximum, which is the maximum when the rank is
+       right.  ``L`` does not change under ``B -> c B U`` for unitary
+       ``U``, so the Hessian is inverted only on its negative-curvature
+       eigenspace.  At most ``_FACTOR_STEPS`` steps.  If the pass ends
+       uncertified (no damped step raises ``L``, or the steps run out) and
+       the rank dropped a direction that the optimum keeps, one more pass
+       of as many steps starts again from the warm-up iterate with every
+       eigenvector kept.  The fits of one rank step as one stack, and the
+       retries as one more; each fit keeps its own damping and stop, and
+       the outcomes it lacks weigh 0 as in stage 1.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
@@ -294,7 +301,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     """
     counts = np.asarray(counts, dtype=float)
     keep = (counts > 0.0).any(axis=0)
-    start, e_probe, e_grad = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target, keep.tobytes())
+    start, e_probe, e_grad, forms = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target,
+                                            keep.tobytes())
     n_total = counts.sum(axis=1)
     if not n_total.min() > 0.0:
         raise DataFormatError("total count is zero; nothing to reconstruct")
@@ -337,7 +345,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     est, q, r = iterates[-1]
     lam = np.linalg.eigvalsh(np.where(ended[:, None, None], 0.0, r))[:, -1]
     gaps = (n_total * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
-    fits = []
+    # Each fit is a record whose trace is a list and whose stop is None until it is settled.
+    fits, est, r = [], [], []
     for j, i in enumerate(first):
         if not ended[j]:
             at, decreases, gap, reason = len(history) - 1, 0, gaps[j], _settled(gaps[j], n_total[j])
@@ -345,99 +354,117 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
             at, decreases, gap, reason = i, 1, math.inf, None
         else:
             at, decreases, gap, reason = i + 1, 0, math.inf, "step"
-        est, q, r = iterates[at]
-        fits.append(_newton_finish(e_grad[:-1], weights[j, 0, :-1], n_total[j], lls[j, : at + 1].tolist(),
-                                   est[j] / q[j, 0, -1], r[j] * q[j, 0, -1], at + decreases, decreases, gap, reason,
-                                   dim=dim, trace_target=trace_target, tol=tol))
+        m, q, g = iterates[at]
+        est.append(m[j] / q[j, 0, -1])
+        r.append(g[j] * q[j, 0, -1])
+        fits.append(ProcessReconstruction(None, at + decreases, 0.0, lls[j, : at + 1].tolist(), decreases, gap,
+                                          reason, 0))
+    est, r = np.array(est), np.array(r)
+    if tol <= 0.0 and (go := [j for j, fit in enumerate(fits) if fit.stop_reason is None]):
+        _newton(fits, go, est, r, forms, e_grad[:-1], weights, empty if shifted else None, n_total, trace_target)
+    for fit, m, n in zip(fits, est, n_total):
+        fit.choi, fit.iterations = 0.5 * (m + m.conj().T), fit.iterations + fit.newton_iterations
+        fit.log_likelihood_trace = np.asarray(fit.log_likelihood_trace)
+        fit.log_likelihood = float(n * fit.log_likelihood_trace[-1])
+    unsettled = [j for j, fit in enumerate(fits) if fit.stop_reason in (None, "step")]
+    for j, lam in zip(unsettled, np.linalg.eigvalsh(r[unsettled])[:, -1].tolist() if unsettled else ()):
+        fit = fits[j]
+        fit.certified_gap = gap = float(n_total[j] * (trace_target * lam - 1.0))
+        fit.stop_reason = (_settled(gap, n_total[j]) or fit.stop_reason
+                           or ("max_iters" if fit.iterations >= MAX_ITERS else "stalled"))
     return fits
 
 
-def _newton_finish(e_build, weights, n_total, trace, est, r, iterations, decreases, gap, reason, *,
-                   dim, trace_target, tol) -> ProcessReconstruction:
-    """Stage 2 of :func:`_ml_fixed_point` for one fit, from where its warm-up ended."""
-    if not (own := weights > 0.0).all():
-        e_build, weights = e_build[own], weights[own]
+def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_target):
+    """Stage 2 of :func:`_ml_fixed_point` for the fits ``go``: ``est``, ``r`` and ``fits`` are updated in place.
 
-    def probs(m):
-        return e_build @ m.reshape(-1).view(float)
+    The fits of one factor rank step as one stack, and the full-rank retries as one more.
+    """
+    sub, dim = slice(None) if len(go) == len(fits) else go, est.shape[-1]
+    w, v = np.linalg.eigh(est[sub])
+    multipliers = 1.0 - trace_target * (v.conj() * (r[sub] @ v)).sum(axis=1).real
+    columns = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).mT  # row i: column i of B
+    warm = est[sub].copy(), r[sub].copy(), [len(fits[j].log_likelihood_trace) for j in go]
+    # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
+    # (|min|) is not told apart from them, and the direction of the smallest always stays.
+    kept = [[m <= max(0.5 * max(mu), abs(min(mu))) for m in mu] for mu in multipliers.tolist()]
+    for rank in sorted(set(ranks := [sum(row) for row in kept])):
+        c = columns[np.array([row if k == rank else [False] * dim for row, k in zip(kept, ranks)])]
+        _factor_pass(fits, [j for j, k in zip(go, ranks) if k == rank], c.reshape(-1, rank, dim), est, r, forms,
+                     e_build, weights, empty, n_total, trace_target)
+    # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
+    if retry := [i for i, (j, k) in enumerate(zip(go, ranks)) if k < dim and fits[j].stop_reason is None]:
+        ids = [go[i] for i in retry]
+        est[ids], r[ids] = warm[0][retry], warm[1][retry]
+        for i, j in zip(retry, ids):
+            del fits[j].log_likelihood_trace[warm[2][i]:]
+        _factor_pass(fits, ids, np.ascontiguousarray(columns[retry]), est, r, forms, e_build, weights, empty,
+                     n_total, trace_target)
 
-    def loglik(p):
-        # nan or -inf where some p_k <= 0; callers accept a point only if ``loglik >= bound``.
-        return float(weights @ np.log(p))
 
-    def gradient(p):
-        return ((weights / p) @ e_build).view(complex).reshape(dim, dim)
+def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, trace_target):
+    """At most ``_FACTOR_STEPS`` damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``.
 
-    def certificate(r):
-        return float(n_total * (trace_target * np.linalg.eigvalsh(r)[-1] - 1.0))
-
-    # Newton on the factor B (dim x rank), over the float view x of C = B^T (row j: column j of B):
-    # L(x) = sum_k f_k log q_k - log |x|^2 + const, with q_k = Tr[B^H E_k B] = x . view(C E_k^T).
-    newton_start = iterations
-    if reason is None and tol <= 0.0:
-        w, v = np.linalg.eigh(est)
-        multipliers = 1.0 - trace_target * np.einsum("ij,ik,kj->j", v.conj(), r, v).real
-        # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
-        # (|min|) is not told apart from them, and the direction of the smallest always stays.
-        dropped = multipliers > max(0.5 * multipliers.max(), abs(multipliers.min()))
-        ops_t = e_build.view(complex).reshape(-1, dim, dim).transpose(0, 2, 1)
-        row = 2 * dim
-        warm = est, trace[-1], r, len(trace)
-        # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
-        passes = [~dropped, np.ones_like(dropped)] if dropped.any() else [~dropped]
-        for kept in passes:
-            if reason is not None:
+    Over the float view x of C = B^T (row j: column j of B), L(x) = sum_k f_k log q_k with q_k = Tr[B^H E_k B]
+    = sum_j b_j . forms[k] b_j; the last form, of I, gives q = |x|^2 and weight -1.  Every product is a matmul of
+    one fit, so a fit steps as it would alone, and it leaves the stack once it stops.
+    """
+    count, rank, dim = c.shape
+    n, row, at = 2 * rank * dim, 2 * dim, slice(None) if count == len(weights) else ids
+    x, f, z = c.view(float).reshape(count, n), weights[at], None if empty is None else empty[at]
+    ll, block_diagonal = [fits[j].log_likelihood_trace[-1] for j in ids], np.eye(rank)[:, None, :, None]
+    jac_forms, flat_forms, probe = forms.reshape(-1, row).mT, forms.reshape(len(forms), -1), e_build.T
+    for _ in range(_FACTOR_STEPS):
+        for j in ids:
+            fits[j].newton_iterations += 1
+        blocks = x.reshape(-1, rank, row)
+        jac = (blocks @ jac_forms).reshape(len(ids), rank, -1, row).transpose(0, 2, 1, 3).reshape(len(ids), -1, n)
+        q = x[:, None] @ jac.mT  # row k of jac: half the gradient of q_k
+        if z is not None:
+            q += z
+        fq = f / q
+        a = 2.0 * (fq @ flat_forms).reshape(-1, row, row)  # the real form of 2 sum_k (f_k / q_k) E_k
+        grad = (blocks @ a.mT).reshape(-1, n)
+        # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T, where M_k applies
+        # forms[k] to each column of B, so that its first term is block diagonal.
+        hess = (block_diagonal * a[:, None, :, None, :]).reshape(-1, n, n) - (jac.mT * (4.0 * fq / q)) @ jac
+        curv, basis = np.linalg.eigh(hess)
+        # L does not change under B -> c B U, so the Hessian is inverted only on its negative curvature.
+        neg = curv < -_CURVATURE_RTOL * abs(curv).max(axis=1, keepdims=True)
+        step = (np.where(neg, (grad[:, None] @ basis)[:, 0] / -curv, 0.0)[:, None] @ basis.mT)[:, 0]
+        # Each fit halves its own step until L does not fall; the others repeat theirs, which changes nothing.
+        alpha = np.ones((len(ids), 1))
+        while True:
+            x_new = x + alpha * step
+            c_new = x_new.view(complex).reshape(-1, rank, dim)
+            scale = trace_target / (x_new[:, None] @ x_new[:, :, None])
+            candidate = c_new.mT @ c_new.conj() * scale
+            p = candidate.reshape(-1, 1, dim * dim).view(float) @ probe
+            if z is not None:
+                p += z[..., :-1]
+            ll_new = (f[..., :-1] @ np.log(p).mT)[:, 0, 0].tolist()
+            ok = [new >= old - _DECREASE_TOL for new, old in zip(ll_new, ll)]  # a NaN L (some p_k <= 0) fails
+            if all(ok) or not any(search := [not o and d > _MIN_DAMPING for o, d in zip(ok, alpha[:, 0].tolist())]):
                 break
-            est, ll, r, n_warm = warm
-            del trace[n_warm:]
-            c_rows = (v[:, kept] * np.sqrt(np.maximum(w[kept], 0.0))).T
-            x = np.ascontiguousarray(c_rows).reshape(-1).view(float)
-            # The truncated start is not accepted by itself: the first step is judged against ll too.
-            pass_end = iterations + _FACTOR_STEPS
-            while reason is None and iterations < pass_end:
-                iterations += 1
-                s = float(x @ x)
-                c_rows = x.view(complex).reshape(-1, dim)
-                jac = (c_rows @ ops_t).reshape(len(e_build), -1).view(float)  # row k: half the gradient of q_k
-                q = jac @ x
-                a = gradient(q)  # sum_k (f_k / q_k) E_k
-                grad = 2.0 * (c_rows @ a.T).reshape(-1).view(float) - (2.0 / s) * x
-                # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T from the
-                # log q_k, 4 x x^T / s^2 - 2 I / s from -log s.  M_k maps each column b of B to E_k b, so
-                # the first term is, per column, b -> A b on its float view: [[Re A, -Im A], [Im A, Re A]].
-                hess = (4.0 / s**2) * np.outer(x, x) - (2.0 / s) * np.eye(x.size)
-                hess -= 4.0 * (jac.T * (weights / q**2)) @ jac
-                a_real = 2.0 * np.array([[a.real, -a.imag], [a.imag, a.real]]).transpose(2, 0, 3, 1).reshape(row, row)
-                for j in range(0, x.size, row):
-                    hess[j : j + row, j : j + row] += a_real
-                curv, basis = np.linalg.eigh(hess)
-                neg = curv < -_CURVATURE_RTOL * abs(curv).max()
-                direction = basis[:, neg] @ ((basis[:, neg].T @ grad) / -curv[neg])
-                alpha = 1.0
-                while alpha >= _MIN_DAMPING:
-                    x_new = x + alpha * direction
-                    c_new = x_new.view(complex).reshape(-1, dim)
-                    candidate = c_new.T @ c_new.conj() * (trace_target / float(x_new @ x_new))
-                    p_new = probs(candidate)
-                    ll_new = loglik(p_new)
-                    if ll_new >= ll - _DECREASE_TOL:
-                        break
-                    alpha *= 0.5
-                else:
-                    break  # Newton cannot raise L from here
-                if alpha < 1.0:
-                    decreases += 1
-                x = x_new * math.sqrt(trace_target / float(x_new @ x_new))
-                est, ll, r = candidate, ll_new, gradient(p_new)
-                trace.append(ll)
-                gap = certificate(r)
-                reason = _settled(gap, n_total)
-
-    if reason in (None, "step"):
-        gap = certificate(r)
-        reason = _settled(gap, n_total) or reason or ("max_iters" if iterations >= MAX_ITERS else "stalled")
-    return ProcessReconstruction(0.5 * (est + est.conj().T), iterations, float(n_total * trace[-1]),
-                                 np.asarray(trace), decreases, gap, reason, iterations - newton_start)
+            alpha[search] *= 0.5
+        if not all(ok):  # Newton cannot raise L from the fits not ok
+            if not (ids := [j for j, o in zip(ids, ok) if o]):
+                return
+            x_new, scale, candidate, p, f, alpha = (v[ok] for v in (x_new, scale, candidate, p, f, alpha))
+            ll_new, z, at = [v for v, o in zip(ll_new, ok) if o], None if z is None else z[ok], ids
+        x, ll = x_new * np.sqrt(scale[:, 0]), ll_new
+        r_new = ((f[..., :-1] / p) @ e_build).view(complex).reshape(-1, dim, dim)
+        est[at], r[at] = candidate, r_new
+        for j, fit_ll, lam, damped in zip(ids, ll, np.linalg.eigvalsh(r_new)[:, -1].tolist(), alpha[:, 0] < 1.0):
+            fits[j].log_likelihood_trace.append(fit_ll)
+            fits[j].likelihood_decreases += int(damped)
+            fits[j].certified_gap = gap = float(n_total[j] * (trace_target * lam - 1.0))
+            fits[j].stop_reason = _settled(gap, n_total[j])
+        if not all(on := [fits[j].stop_reason is None for j in ids]):
+            if not (ids := [j for j, o in zip(ids, on) if o]):
+                return
+            x, ll, f, at = x[on], [v for v, o in zip(ll, on) if o], f[on], ids
+            z = None if z is None else z[on]
 
 
 def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,19 @@ class TestReconstructTable:
         with pytest.raises(ConvergenceError, match=r"phase index 0 stopped uncertified \(stalled\) after \d+ "
                                                    r"iterations: certified gap .* nats > 1e-06"):
             reconstruct_table(result.counts, cfg.noise, True)
+
+    def test_every_uncertified_phase_is_named(self, monkeypatch):
+        # Every phase of the table finishes its fit before the check, so each one that stalls is listed.
+        noise = calibrated_noise(pair_rate=3000.0, n_intervals=4)
+        table = simulate_counts(ExperimentPlan(phases=(0.0, np.pi / 2)), noise, 77)
+        monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+        with pytest.raises(ConvergenceError) as caught:
+            reconstruct_table(table, noise, True)
+        clauses = str(caught.value).split("; ")
+        assert len(clauses) == 2
+        for pi, clause in enumerate(clauses):
+            assert re.search(rf"phase index {pi} stopped uncertified \(stalled\) after \d+ iterations: "
+                             r"certified gap \S+ nats > 1e-06$", clause)
 
     def test_six_state_requirement_for_reports(self):
         # Four states are enough for the process ML but not for the report.

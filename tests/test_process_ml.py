@@ -1,5 +1,7 @@
 """Process ML: certified stop, monotone trace and PSD output on random count tables; step counts on simulated data."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -125,6 +127,20 @@ LATE_OVERSHOOT[[1, 7, 13, 30]] = [231.0, 168.0, 86.0, 282.0]
 NOISY_GATES = [expected_counts(0.9 * ideal_choi(phi) + 0.05 * np.eye(4)) for phi in (0.3, 2.0)]
 
 
+def pipeline_row(noise, seed, feed_forward, phase_index):
+    """The count row, in the order of OPERATORS, of one phase of a simulated dataset as the pipeline fits it."""
+    table = simulate_counts(ExperimentPlan(), noise, seed)
+    analyzed = table if feed_forward else select_without_feedforward(table)
+    return np.array([s.count for s in settings_for_phase(rescale_efficiencies(analyzed, noise), phase_index)])
+
+
+# Newton on these rows: one step at factor rank 1; 13 steps at rank 2, at a linear rate (an optimal eigenvalue
+# of 1.1e-5); a rank-2 pass left uncertified and retried at full rank.  The first two lack some outcomes.
+ONE_STEP = pipeline_row(ideal_noise(pair_rate=16000.0), 1, True, 0)
+LINEAR_RATE = pipeline_row(ideal_noise(pair_rate=16000.0), 1, False, 4)
+FULL_RANK_RETRY = pipeline_row(calibrated_noise(), 103, True, 0)
+
+
 def warmup_steps(fit):
     return fit.iterations - fit.newton_iterations
 
@@ -151,6 +167,19 @@ def test_example_rows_end_their_warmup_where_the_batch_test_needs():
     assert all(warmup_steps(fit) == tomography._WARMUP_STEPS for fit in gates)
 
 
+def test_newton_stacks_of_the_example_rows(monkeypatch):
+    # In one batch each factor rank steps as one stack and the retries as one more; the two-peak row damps a step.
+    passes, factor_pass = [], tomography._factor_pass
+    monkeypatch.setattr(tomography, "_factor_pass", lambda fits, ids, c, *rest: (
+        passes.append((ids, c.shape[1])), factor_pass(fits, ids, c, *rest)))
+    fits = tomography._ml_fixed_point(OPERATORS, np.array([ONE_STEP, LINEAR_RATE, FULL_RANK_RETRY, two_peaks(0, 10)]),
+                                      4, 2.0)
+    assert passes == [([0], 1), ([1, 2], 2), ([3], 4), ([2], 4)]
+    assert [fit.newton_iterations for fit in fits[:2]] == [1, 13]
+    assert warmup_steps(fits[3]) == 2 and fits[3].likelihood_decreases == 2  # the warm-up overshoot and one damped step
+    assert all(fit.stop_reason == "certified" for fit in fits)
+
+
 @st.composite
 def count_batches(draw):
     """One to six rows, maybe with an early overshoot, a row whose start is optimal and an outcome empty in all."""
@@ -171,6 +200,8 @@ def count_batches(draw):
 @example(np.array([NOISY_GATES[0], DEPOLARIZING, NOISY_GATES[1]]))
 @example(np.array([two_peaks(3, 20), NOISY_GATES[1], DEPOLARIZING, 40.0 * np.eye(36)[7]]))
 @example(np.array([NOISY_GATES[0], DEPOLARIZING, LATE_OVERSHOOT, NOISY_GATES[1]]))
+@example(np.array([ONE_STEP, LINEAR_RATE, FULL_RANK_RETRY, two_peaks(0, 10)]))
+@example(np.array([two_peaks(0, 10), FULL_RANK_RETRY, DEPOLARIZING, LINEAR_RATE, ONE_STEP, NOISY_GATES[1]]))
 def test_batched_fits_match_fits_one_at_a_time(batch):
     # Each fit of a batch stops by its own rules: the same steps, stop reason and estimate as alone.
     assume(np.all(batch.sum(axis=1) > 0))
@@ -242,6 +273,40 @@ def test_exhausted_newton_stops_stalled(monkeypatch):
     assert fit.certified_gap > GAP_TOL
     with pytest.raises(ConvergenceError, match="stalled"):
         reconstruct_table(table, noise, True)
+
+
+def test_a_stack_steps_each_fit_bit_for_bit_as_a_stack_of_one(monkeypatch, dataset_phases):
+    # Every product of a Newton step is a matmul of one fit, so the other fits of a stack cannot move its bits:
+    # replayed alone from the same start, over the same outcomes, each fit ends bit for bit as in the stack.
+    replayed, factor_pass = [], tomography._factor_pass
+
+    def replay(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, trace_target):
+        starts = [(copy.deepcopy(fits[j]), c[[i]], est[[j]], r[[j]]) for i, j in enumerate(ids)]
+        factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, trace_target)
+        for j, (fit, c1, est1, r1) in zip(ids, starts):
+            factor_pass([fit], [0], c1, est1, r1, forms, e_build, weights[[j]], None if empty is None else empty[[j]],
+                        n_total[[j]], trace_target)
+            assert (fit.newton_iterations, fit.likelihood_decreases, fit.stop_reason) == (
+                fits[j].newton_iterations, fits[j].likelihood_decreases, fits[j].stop_reason)
+            assert fit.log_likelihood_trace == fits[j].log_likelihood_trace
+            assert fit.certified_gap == fits[j].certified_gap
+            assert est1.tobytes() == est[[j]].tobytes() and r1.tobytes() == r[[j]].tobytes()
+            replayed.append(j)
+
+    monkeypatch.setattr(tomography, "_factor_pass", replay)
+    rows = np.array([[s.count for s in phase] for phase in dataset_phases["calibrated", 103]])
+    tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0)
+    assert sorted(set(replayed)) == list(range(len(rows))) and len(replayed) > len(rows)  # with full-rank retries
+
+
+def test_stalled_fits_beside_certified_ones(monkeypatch, dataset_phases):
+    # With one Newton step per pass the calibrated rows stall, while the depolarizing row certifies in the warm-up.
+    monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+    rows = [[s.count for s in dataset_phases["calibrated", 1][pi]] for pi in range(4)] + [DEPOLARIZING]
+    fits = tomography._ml_fixed_point(OPERATORS, np.array(rows), 4, 2.0)
+    assert [fit.stop_reason for fit in fits] == ["stalled"] * 4 + ["certified"]
+    for fit, alone in zip(fits, fits_alone(rows)):
+        assert_same_fit(fit, alone)
 
 
 def test_table_batch_matches_fits_per_phase():
