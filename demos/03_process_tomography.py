@@ -19,9 +19,9 @@ from phasegate.states import ket
 from phasegate.tomography import (
     apply_map,
     ml_reconstruct_process,
-    ml_reconstruct_state,
+    ml_reconstruct_states,
     settings_for_phase,
-    state_basis_counts,
+    state_counts,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -57,9 +57,10 @@ rho_out, weight = apply_map(recon.choi, rho_in)
 print(f"\nmapped |+> (weight {weight:.4f}):\n{rho_out}")
 print(f"ideal U|+>:\n{u @ rho_in @ u.conj().T}")
 
-# 5. per-input-state density matrices come from the same counts;
-#    input index 2 is |+>, whose output should stay pure
-sres = ml_reconstruct_state(state_basis_counts(table, 0, 2))
+# 5. per-input-state density matrices come from the same counts: one call
+#    fits the output state of every input at phase 0; input index 2 is |+>,
+#    whose output should stay pure
+sres = ml_reconstruct_states(state_counts(table, 0))[2]
 target = u @ ket("+")
 print(f"\noutput state for input |+>:\n{sres.rho}")
 print(f"purity = {purity(sres.rho):.6f}")

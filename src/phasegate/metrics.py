@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .gate import canonical_phase, ideal_output
+from .gate import canonical_phase
 from .states import STATE_LABELS, as_state, ket
 from .tomography import CHOI_DIM, require_hermitian
 
@@ -93,31 +93,32 @@ class MeritReport:
 
 def merit_report(chi, output_states, phi: float, feed_forward_active: bool,
                  success_probability: float) -> MeritReport:
-    """Score one reconstructed process and its six output states.
+    """Score one process and its six output states, in the input order {0, 1, +, -, +i, -i}, each against
+    ``U(phi)|psi_in>`` at the commanded phase, not any jittered one: the one-row case of :func:`merit_reports`."""
+    return merit_reports([chi], [output_states], [phi], feed_forward_active, success_probability)[0]
 
-    ``output_states`` must hold exactly six density matrices in the
-    fixed input order {0, 1, +, -, +i, -i}; each is compared against the
-    nominal target ``U(phi)|psi_in>`` (the commanded phase, not any
-    jittered one).
+
+def merit_reports(chis, output_states, phis, feed_forward_active: bool,
+                  success_probability: float) -> list[MeritReport]:
+    """:func:`merit_report` of each phase in ``phis``, one Choi matrix and six states each, in one array pass.
+
+    With ``|w> = |00> + e^{i phi} |11>``, ``F_chi = <w| chi |w> / (2 Tr chi)``.
     """
-    if len(output_states) != len(STATE_LABELS):
-        raise ValueError(f"expected {len(STATE_LABELS)} output states, got {len(output_states)}")
-    fidelities = []
-    purities = []
-    for label, rho in zip(STATE_LABELS, output_states):
-        target = ideal_output(ket(label), phi)
-        fidelities.append(state_fidelity(rho, target))
-        purities.append(purity(rho))
-    return MeritReport(
-        phi=phi,
-        F_chi=process_fidelity(chi, ideal_choi(phi)),
-        F_av=float(np.mean(fidelities)),
-        F_min=float(np.min(fidelities)),
-        P_av=float(np.mean(purities)),
-        P_min=float(np.min(purities)),
-        feed_forward_active=feed_forward_active,
-        success_probability=success_probability,
-    )
+    if any(len(states) != len(STATE_LABELS) for states in output_states):
+        raise ValueError(f"expected {len(STATE_LABELS)} output states per phase")
+    rhos = np.asarray(output_states, dtype=complex)
+    phases = np.exp(1j * np.asarray(phis, dtype=float))
+    kets = np.array([ket(label) for label in STATE_LABELS])
+    targets = np.stack(np.broadcast_arrays(kets[:, 0], phases[:, None] * kets[:, 1]), axis=-1)  # U(phi)|psi_in>
+    fidelities = np.einsum("psi,psij,psj->ps", targets.conj(), rhos, targets).real
+    purities = np.einsum("psij,psji->ps", rhos, rhos).real
+    w = np.zeros((len(phases), CHOI_DIM), dtype=complex)
+    w[:, 0], w[:, 3] = 1.0, phases
+    chis = np.asarray(chis, dtype=complex)
+    f_chi = np.einsum("pi,pij,pj->p", w.conj(), chis, w).real / (2.0 * np.trace(chis, axis1=1, axis2=2).real)
+    rows = zip(f_chi.tolist(), fidelities.mean(axis=1).tolist(), fidelities.min(axis=1).tolist(),
+               purities.mean(axis=1).tolist(), purities.min(axis=1).tolist())
+    return [MeritReport(phi, *row, feed_forward_active, success_probability) for phi, row in zip(phis, rows)]
 
 
 def write_merit_csv(path, reports) -> None:

@@ -32,7 +32,7 @@ from .experiment import (
     simulate_counts,
     usable_fraction,
 )
-from .metrics import MeritReport, format_merit_table, merit_report, write_merit_csv
+from .metrics import MeritReport, format_merit_table, merit_report, merit_reports, write_merit_csv
 from .states import BASIS_LABELS, STATE_LABELS
 from .tomography import (
     GAP_TOL,
@@ -41,13 +41,14 @@ from .tomography import (
     load_choi,
     load_state,
     ml_reconstruct_phases,
-    ml_reconstruct_process,  # noqa: F401  (with settings_for_phase, the one-phase fit, also reached from here)
-    ml_reconstruct_state,
+    ml_reconstruct_states,
     save_choi,
     save_state,
-    settings_for_phase,  # noqa: F401
-    state_basis_counts,
+    state_counts,
 )
+# The one-fit entries, which the pipeline does not call, are also reached from here.
+from .tomography import ml_reconstruct_process, ml_reconstruct_state, settings_for_phase  # noqa: F401
+from .tomography import state_basis_counts  # noqa: F401
 
 #: File-name-safe aliases for the state labels (and back).
 STATE_FILE_LABELS = {"0": "0", "1": "1", "+": "plus", "-": "minus", "+i": "plusi", "-i": "minusi"}
@@ -82,29 +83,34 @@ class PipelineResult:
 
 
 def reconstruct_table(table: CountTable, noise: NoiseConfig, feed_forward: bool) -> ReconstructionSet:
-    """Full tomography pass over one count table.
+    """Full tomography pass over one count table: the one-analysis case of :func:`reconstruct_analyses`."""
+    return reconstruct_analyses(table, noise, (feed_forward,))[0]
 
-    Without feed forward the D_p1 branch is discarded first; either way
-    counts are efficiency-rescaled before entering the likelihood.  A
-    usable fraction above 1 raises :class:`ConfigError` before any fit.
+
+def reconstruct_analyses(table: CountTable, noise: NoiseConfig, variants) -> list[ReconstructionSet]:
+    """Full tomography pass over one count table, once per analysis in ``variants`` (with feed forward or not).
+
+    Without feed forward the D_p1 branch is discarded first; either way counts are efficiency-rescaled before
+    entering the likelihood.  A usable fraction above 1 raises :class:`ConfigError` before any fit.  The process
+    fits of all analyses run as one batch; the first analysis with an uncertified phase raises ConvergenceError.
     """
-    missing_bases = [b for b in BASIS_LABELS if b not in table.bases]
-    if missing_bases:
+    if missing_bases := [b for b in BASIS_LABELS if b not in table.bases]:
         raise DataFormatError(f"incomplete design: missing measurement bases {missing_bases}")
-    analyzed = table if feed_forward else select_without_feedforward(table)
-    rescaled = rescale_efficiencies(analyzed, noise)
-    success = usable_fraction(rescaled, noise)
-    if success > 1.0:
-        raise ConfigError(f"usable fraction {success:.6g} is above 1: after division by the efficiencies eta_*, "
+    rescaled = [rescale_efficiencies(table if ff else select_without_feedforward(table), noise) for ff in variants]
+    success = [usable_fraction(analyzed, noise) for analyzed in rescaled]
+    if (most := max(success)) > 1.0:
+        raise ConfigError(f"usable fraction {most:.6g} is above 1: after division by the efficiencies eta_*, "
                           "the table holds more events than pair_rate * interval_s pairs per setting and interval")
-    processes = ml_reconstruct_phases(rescaled)
-    if uncertified := [f"phase index {pi} stopped uncertified ({proc.stop_reason}) after {proc.iterations} iterations: "
-                       f"certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
-                       for pi, proc in enumerate(processes) if not proc.converged]:
-        raise ConvergenceError("process reconstruction at " + "; ".join(uncertified))
-    outputs = [[ml_reconstruct_state(state_basis_counts(rescaled, pi, si)) for si in range(len(table.input_states))]
-               for pi in range(len(table.phases))]
-    return ReconstructionSet(feed_forward, table.phases, table.input_states, processes, outputs, success)
+    fits = ml_reconstruct_phases(*rescaled)
+    for processes in fits:
+        if uncertified := [f"phase index {pi} stopped uncertified ({proc.stop_reason}) after {proc.iterations} "
+                           f"iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
+                           for pi, proc in enumerate(processes) if not proc.converged]:
+            raise ConvergenceError("process reconstruction at " + "; ".join(uncertified))
+    states = [iter(ml_reconstruct_states(state_counts(t).reshape(-1, len(BASIS_LABELS), 2))) for t in rescaled]
+    return [ReconstructionSet(ff, table.phases, table.input_states, processes,
+                              [[next(fitted) for _ in table.input_states] for _ in table.phases], fraction)
+            for ff, processes, fitted, fraction in zip(variants, fits, states, success)]
 
 
 def reports_from_reconstruction(rs: ReconstructionSet) -> list[MeritReport]:
@@ -112,28 +118,19 @@ def reports_from_reconstruction(rs: ReconstructionSet) -> list[MeritReport]:
     if sorted(rs.input_states) != sorted(STATE_LABELS):
         raise DataFormatError(f"merit report needs the full six-state input design, got {rs.input_states}")
     order = [rs.input_states.index(label) for label in STATE_LABELS]
-    return [
-        merit_report(
-            rs.processes[pi].choi,
-            [rs.output_states[pi][si].rho for si in order],
-            phi,
-            rs.feed_forward,
-            rs.success_probability,
-        )
-        for pi, phi in enumerate(rs.phases)
-    ]
+    rhos = [[states[si].rho for si in order] for states in rs.output_states]
+    return merit_reports([p.choi for p in rs.processes], rhos, rs.phases, rs.feed_forward, rs.success_probability)
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Simulate once, then reconstruct and score each requested analysis.
 
     By default both analyses run on the same dataset (the comparison is
-    the point of the exercise); with ``feed_forward=False`` only the
-    post-selected D_p0 analysis runs.
+    the point of the exercise), and are reconstructed in one pass; with
+    ``feed_forward=False`` only the post-selected D_p0 analysis runs.
     """
     table = simulate_counts(cfg.plan, cfg.noise, cfg.require_seed())
-    variants = [True, False] if cfg.feed_forward else [False]
-    recon_sets = [reconstruct_table(table, cfg.noise, ff) for ff in variants]
+    recon_sets = reconstruct_analyses(table, cfg.noise, [True, False] if cfg.feed_forward else [False])
     reports = [row for rs in recon_sets for row in reports_from_reconstruction(rs)]
     return PipelineResult(table, recon_sets, reports)
 

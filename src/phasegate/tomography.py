@@ -21,7 +21,7 @@ and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
 off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
 2003), which has no PSD constraint left and converges quadratically.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
-the phases of a count table: the warm-up steps one ``(k, 4, 4)`` stack, each
+the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stack, each
 fit with weight 0 on the outcomes it lacks, and judges each fit once, at its
 end; Newton steps the fits of one factor rank as one stack, in real arithmetic.
 
@@ -30,7 +30,7 @@ Pauli basis the likelihood depends only on the Bloch vector ``r`` and
 splits into one term per basis, so its maximum over the Bloch ball is
 the linear-inversion point when that lies inside the ball, and
 otherwise a point on the sphere fixed by one Lagrange multiplier
-(:func:`ml_reconstruct_state`).
+(:func:`ml_reconstruct_state`; :func:`ml_reconstruct_states` for a stack).
 
 Matrices are plain ``np.ndarray`` values.  A two-qubit index is the
 row-major composite ``(i_in, i_out)`` that ``np.kron`` produces, so
@@ -486,12 +486,16 @@ def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:
     return _ml_fixed_point(operators, np.array([s.count for s in settings])[None], CHOI_DIM, 2.0, tol)[0]
 
 
-def ml_reconstruct_phases(counts_table) -> list[ProcessReconstruction]:
-    """Each phase's :func:`ml_reconstruct_process` fit, as one batch that builds no :class:`TomographySetting`."""
+def ml_reconstruct_phases(*counts_tables) -> list[list[ProcessReconstruction]]:
+    """Each phase's :func:`ml_reconstruct_process` fit, one list per table; all tables, which must list the same
+    states and bases, fit as one batch that builds no :class:`TomographySetting`."""
     states, operators = _cardinal_design()
-    labels, counts = _outcome_counts(counts_table, slice(None))
+    (labels, _), *others = rows = [_outcome_counts(table, slice(None)) for table in counts_tables]
+    if any(other != labels for other, _ in others):
+        raise DataFormatError("count tables fitted as one batch must list the same input states and bases")
     ops = np.array([operators[id(states[s]), id(states[o])] for s, o in labels])
-    return _ml_fixed_point(ops, counts, CHOI_DIM, 2.0)
+    fits = iter(_ml_fixed_point(ops, np.concatenate([counts for _, counts in rows]), CHOI_DIM, 2.0))
+    return [[next(fits) for _ in counts] for _, counts in rows]
 
 
 #: Newton steps stop once they move the unknown by less than this, relative to it.
@@ -598,41 +602,53 @@ def ml_reconstruct_state(basis_counts) -> StateReconstruction:
     that point lies in the Bloch ball it is the estimate; otherwise the
     estimate is the constrained maximum on the sphere.  The solve is
     exact up to rounding, so no iteration cap or tolerance applies.
+    This is the stack of one of :func:`ml_reconstruct_states`.
     """
     missing = [b for b in BASIS_LABELS if b not in basis_counts]
     if missing:
         raise DataFormatError(f"missing basis counts for {missing}")
-    pairs = []
-    for b in BASIS_LABELS:
-        pair = basis_counts[b]
-        if len(pair) != 2:
-            raise DataFormatError(f"basis {b} needs exactly two outcome counts, got {len(pair)}")
-        for c in pair:
-            if not (np.isfinite(c) and c >= 0.0):
-                raise DataFormatError(f"bad count {c!r} for basis {b}")
-        pairs.append((float(pair[0]), float(pair[1])))
-    top = max(max(pair) for pair in pairs)
-    if top <= 0.0:
+    if bad := [b for b in BASIS_LABELS if len(basis_counts[b]) != 2]:
+        raise DataFormatError(f"basis {bad[0]} needs exactly two outcome counts, got {len(basis_counts[bad[0]])}")
+    return ml_reconstruct_states([[basis_counts[b] for b in BASIS_LABELS]])[0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def ml_reconstruct_states(counts) -> list[StateReconstruction]:
+    """:func:`ml_reconstruct_state` of each row of a ``(k, 3, 2)`` array of per-basis counts, bases Z X Y.
+
+    All but the sphere solve runs as arrays; :func:`_sphere_components` runs for the rows outside the ball.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 3 or counts.shape[1:] != (len(BASIS_LABELS), 2):
+        raise DataFormatError(f"state counts must have shape (k, {len(BASIS_LABELS)}, 2), got {counts.shape}")
+    if (bad := ~(np.isfinite(counts) & (counts >= 0.0))).any():
+        j, b, o = np.argwhere(bad)[0]
+        raise DataFormatError(f"bad count {counts[j, b, o].item()!r} for basis {BASIS_LABELS[b]}")
+    top = counts.max(axis=(1, 2))[:, None, None]
+    if not (top > 0.0).all():
         raise DataFormatError("total count is zero; nothing to reconstruct")
     # The estimate depends only on count ratios: scale exactly, by a power of two, to at most 1,
     # and drop counts below 1e-100 of the largest, which move the likelihood by less than its
     # rounding error and would underflow in the sphere solve.
-    exponent = math.frexp(top)[1]
-    scaled = [tuple(math.ldexp(c, -exponent) if c >= 1e-100 * top else 0.0 for c in pair) for pair in pairs]
+    scaled = np.where(counts >= 1e-100 * top, np.ldexp(counts, -np.frexp(top)[1]), 0.0)
     # (r_b, s_b = 1 - |r_b|) per basis, Z X Y.
-    comps = [((a - c) / (a + c), 2.0 * min(a, c) / (a + c)) if a + c > 0.0 else (0.0, 1.0) for a, c in scaled]
-    norm2 = sum(r * r for r, _ in comps)
-    if norm2 > 1.0:
-        comps = [(r, s) for r, s, _ in _sphere_components(scaled)]
-    probs = [(1.0 - 0.5 * s, 0.5 * s) if r >= 0.0 else (0.5 * s, 1.0 - 0.5 * s) for r, s in comps]
-    # Z's outcome probabilities are the diagonal; X and Y set the coherence.
-    (_, _), (r_x, _), (r_y, _) = comps
-    coherence = 0.5 * complex(r_x, -r_y)
-    rho = np.array([[probs[0][0], coherence], [coherence.conjugate(), probs[0][1]]], dtype=complex)
-    log_likelihood = sum(
-        a * math.log(max(p, PROB_FLOOR)) + c * math.log(max(q, PROB_FLOOR)) for (a, c), (p, q) in zip(pairs, probs)
-    )
-    return StateReconstruction(rho, log_likelihood, norm2 >= 1.0)
+    a, c = scaled[..., 0], scaled[..., 1]
+    r = np.where(a + c > 0.0, (a - c) / (a + c), 0.0)
+    s = np.where(a + c > 0.0, 2.0 * np.minimum(a, c) / (a + c), 1.0)
+    norm2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
+    if (out := norm2 > 1.0).any():
+        r[out], s[out], _ = np.moveaxis(np.array([_sphere_components(row) for row in scaled[out].tolist()]), -1, 0)
+    probs = np.stack([1.0 - 0.5 * s, 0.5 * s], axis=-1)
+    probs[r < 0.0] = probs[r < 0.0, ::-1]
+    # Z's outcome probabilities are the diagonal; X and Y set the coherence, (r_x - i r_y) / 2.
+    rho = np.zeros((len(counts), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = probs[:, 0, 0], probs[:, 0, 1]
+    rho[:, 0, 1].real, rho[:, 0, 1].imag = r[:, 1], -r[:, 2]
+    rho[:, 0, 1] *= 0.5
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    per_basis = (counts * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=2)
+    log_likelihood = per_basis[:, 0] + per_basis[:, 1] + per_basis[:, 2]
+    return [StateReconstruction(*fit) for fit in zip(rho, log_likelihood.tolist(), (norm2 >= 1.0).tolist())]
 
 
 def settings_for_phase(counts_table, phase_index: int):
@@ -656,9 +672,14 @@ def _outcome_counts(counts_table, phases):
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):
-    """Per-basis outcome counts for one (phase, input state): intervals summed, then branches."""
-    per_detector = counts_table.counts[phase_index, state_index].sum(axis=3).sum(axis=1)  # (basis, data detector)
-    return {basis: (n0, n1) for basis, (n0, n1) in zip(counts_table.bases, per_detector.tolist())}
+    """Per-basis outcome counts for one (phase, input state), as a dict of :func:`state_counts`."""
+    return dict(zip(BASIS_LABELS, map(tuple, state_counts(counts_table, (phase_index, state_index)).tolist())))
+
+
+def state_counts(counts_table, index=()) -> np.ndarray:
+    """Counts per basis (Z X Y) and data detector of the (phase, state) rows that ``counts[index]`` picks."""
+    bases = [counts_table.bases.index(b) for b in BASIS_LABELS]
+    return counts_table.counts[index].sum(axis=-1).sum(axis=-2)[..., bases, :]
 
 
 def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, **extra) -> None:

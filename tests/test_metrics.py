@@ -158,14 +158,14 @@ class TestMeritReport:
         assert a.F_min == pytest.approx(b.F_min, abs=1e-12)
         assert a.P_av == pytest.approx(b.P_av, abs=1e-12)
 
-    def test_one_eigendecomposition_per_report(self, monkeypatch):
-        # Only the rank-1 check of chi_id decomposes; the inputs are not validated again.
+    def test_no_eigendecomposition_per_report(self, monkeypatch):
+        # The ideal process is scored through its vector w, so nothing decomposes; the inputs are not checked again.
         calls = []
         for name in ("eigvalsh", "eigh", "eigvals", "eig"):
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _s=solver, _n=name: calls.append(_n) or _s(*a))
         merit_report(ideal_choi(0.4), self._ideal_states(0.4), 0.4, True, 0.5)
-        assert calls == ["eigvalsh"]
+        assert calls == []
 
     def test_wrong_state_count_rejected(self):
         with pytest.raises(ValueError, match="6"):

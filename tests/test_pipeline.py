@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasegate import tomography
+from phasegate import pipeline, tomography
 from phasegate.config import RunConfig
-from phasegate.errors import ConvergenceError, DataFormatError
+from phasegate.errors import ConfigError, ConvergenceError, DataFormatError
 from phasegate.experiment import CountTable, ExperimentPlan, calibrated_noise, ideal_noise, simulate_counts
 from phasegate.pipeline import (
     _atomic,
@@ -153,6 +153,46 @@ class TestReconstructTable:
             assert re.search(rf"phase index {pi} stopped uncertified \(stalled\) after \d+ iterations: "
                              r"certified gap \S+ nats > 1e-06$", clause)
 
+    @pytest.mark.parametrize("noise, seed, choi_atol", [
+        (ideal_noise(pair_rate=16000.0), 1, 0.0),
+        (calibrated_noise(), 1, 0.0),
+        # ff keeps 35 outcomes and noff 34: in one batch noff's fits also sum over ff's extra outcome at weight 0.
+        (calibrated_noise(), 114, 1e-15),
+    ])
+    def test_one_pass_matches_each_analysis_alone(self, noise, seed, choi_atol):
+        result = run_pipeline(RunConfig(noise=noise, seed=seed))
+        for rs in result.reconstructions:
+            alone = reconstruct_table(result.counts, noise, rs.feed_forward)
+            assert rs.success_probability == alone.success_probability
+            for fit, ref in zip(rs.processes, alone.processes, strict=True):
+                assert (fit.iterations, fit.newton_iterations, fit.stop_reason, fit.likelihood_decreases) == (
+                    ref.iterations, ref.newton_iterations, ref.stop_reason, ref.likelihood_decreases)
+                np.testing.assert_allclose(fit.choi, ref.choi, rtol=0.0, atol=choi_atol)
+                if not choi_atol:
+                    assert fit.choi.tobytes() == ref.choi.tobytes()
+            for states, refs in zip(rs.output_states, alone.output_states, strict=True):
+                assert [s.rho.tobytes() for s in states] == [s.rho.tobytes() for s in refs]
+
+    @pytest.mark.parametrize("variants", [(True, False), (False,), (True,)])
+    def test_usable_fraction_above_one_raises_before_any_fit(self, monkeypatch, variants):
+        # Five times the calibrated counts: ff reads about 2.5 and noff about 1.25 after rescaling.
+        noise = calibrated_noise()
+        table = simulate_counts(ExperimentPlan(phases=(0.0,)), noise, 3)
+        table = CountTable(table.phases, table.input_states, table.bases, 5.0 * table.counts)
+        monkeypatch.setattr(pipeline, "ml_reconstruct_phases", lambda *tables: pytest.fail("a fit ran"))
+        with pytest.raises(ConfigError, match="usable fraction .* is above 1"):
+            pipeline.reconstruct_analyses(table, noise, variants)
+
+    def test_bases_are_taken_by_label(self):
+        # A table that stores its bases X, Y, Z gives every (phase, state) the output state of Z, X, Y.
+        noise = calibrated_noise()
+        table = simulate_counts(ExperimentPlan(phases=(0.0, 2.0)), noise, 9)
+        stored = CountTable(table.phases, table.input_states, ("X", "Y", "Z"), table.counts[:, :, [1, 2, 0]])
+        for feed_forward in (True, False):
+            ref, got = (reconstruct_table(t, noise, feed_forward) for t in (table, stored))
+            for states, refs in zip(got.output_states, ref.output_states, strict=True):
+                assert [s.rho.tobytes() for s in states] == [s.rho.tobytes() for s in refs]
+
     def test_six_state_requirement_for_reports(self):
         # Four states are enough for the process ML but not for the report.
         plan = ExperimentPlan(phases=(0.0,), input_states=("0", "1", "+", "+i"))
@@ -248,8 +288,8 @@ class TestArtifacts:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         loaded, _ = collect_reports(str(out))
-        # Per report: its Choi matrix and six states as they load, then the rank-1 check of chi_id.
-        assert sorted(calls) == sorted([(2, 2)] * 6 * len(loaded) + [(4, 4)] * 2 * len(loaded))
+        # Per report: its Choi matrix and six states as they load; scoring decomposes nothing.
+        assert sorted(calls) == sorted([(2, 2)] * 6 * len(loaded) + [(4, 4)] * len(loaded))
 
     def test_missing_state_file_listed(self, small_run, tmp_path):
         cfg, result = small_run

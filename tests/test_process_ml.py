@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phasegate import tomography
-from phasegate.errors import ConvergenceError
+from phasegate.errors import ConvergenceError, DataFormatError
 from phasegate.experiment import (
+    CountTable,
     ExperimentPlan,
     calibrated_noise,
     ideal_noise,
@@ -315,5 +316,15 @@ def test_table_batch_matches_fits_per_phase():
         table = simulate_counts(ExperimentPlan(), noise, seed)
         for analyzed in (table, select_without_feedforward(table)):
             rescaled = rescale_efficiencies(analyzed, noise)
-            for pi, fit in enumerate(tomography.ml_reconstruct_phases(rescaled)):
+            fits, = tomography.ml_reconstruct_phases(rescaled)
+            for pi, fit in enumerate(fits):
                 assert_same_fit(fit, ml_reconstruct_process(settings_for_phase(rescaled, pi)))
+
+
+def test_tables_of_one_batch_must_list_the_same_states_and_bases():
+    # The batch shares one design, so a table that stores its bases in another order is refused.
+    table = simulate_counts(ExperimentPlan(phases=(0.0,)), ideal_noise(pair_rate=2000.0, n_intervals=1), 9)
+    stored = CountTable(table.phases, table.input_states, ("X", "Y", "Z"), table.counts[:, :, [1, 2, 0]])
+    assert len(tomography.ml_reconstruct_phases(table, table)) == 2
+    with pytest.raises(DataFormatError, match="same input states and bases"):
+        tomography.ml_reconstruct_phases(table, stored)

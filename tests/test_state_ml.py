@@ -1,5 +1,7 @@
 """Closed-form state ML against the iterative reference and the concavity certificate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from phasegate.errors import DataFormatError
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, density, projector
-from phasegate.tomography import GAP_TOL, _ml_fixed_point, ml_reconstruct_state
+from phasegate.tomography import (
+    GAP_TOL,
+    PROB_FLOOR,
+    _ml_fixed_point,
+    _sphere_components,
+    ml_reconstruct_state,
+    ml_reconstruct_states,
+)
 
 OPERATORS = np.stack([projector(label) for b in BASIS_LABELS for label in BASIS_OUTCOMES[b]])
 #: Certified distance to the likelihood maximum that an exact solve must reach, in nats.
@@ -175,3 +184,79 @@ class TestExplicitCases:
     def test_bad_counts_rejected(self, bad):
         with pytest.raises(DataFormatError, match="bad count"):
             ml_reconstruct_state({"Z": (bad, 1.0), "X": (1.0, 1.0), "Y": (1.0, 1.0)})
+
+
+def scalar_fit(basis_counts):
+    """The estimator one fit at a time in Python floats, as it ran before the array entry: ``(rho, L, on_boundary)``."""
+    pairs = [(float(basis_counts[b][0]), float(basis_counts[b][1])) for b in BASIS_LABELS]
+    top = max(max(pair) for pair in pairs)
+    exponent = math.frexp(top)[1]
+    scaled = [tuple(math.ldexp(c, -exponent) if c >= 1e-100 * top else 0.0 for c in pair) for pair in pairs]
+    comps = [((a - c) / (a + c), 2.0 * min(a, c) / (a + c)) if a + c > 0.0 else (0.0, 1.0) for a, c in scaled]
+    norm2 = sum(r * r for r, _ in comps)
+    if norm2 > 1.0:
+        comps = [(r, s) for r, s, _ in _sphere_components(scaled)]
+    probs = [(1.0 - 0.5 * s, 0.5 * s) if r >= 0.0 else (0.5 * s, 1.0 - 0.5 * s) for r, s in comps]
+    (_, _), (r_x, _), (r_y, _) = comps
+    coherence = 0.5 * complex(r_x, -r_y)
+    rho = np.array([[probs[0][0], coherence], [coherence.conjugate(), probs[0][1]]], dtype=complex)
+    ll = sum(a * math.log(max(p, PROB_FLOOR)) + c * math.log(max(q, PROB_FLOOR))
+             for (a, c), (p, q) in zip(pairs, probs))
+    return rho, ll, norm2 >= 1.0
+
+
+def assert_stack_matches_scalar_fits(rows):
+    # rho bit for bit, zero signs included, as the state files write them; L through np.log within 1e-15.
+    fits = ml_reconstruct_states([[row[b] for b in BASIS_LABELS] for row in rows])
+    assert len(fits) == len(rows)
+    for fit, row in zip(fits, rows):
+        alone = ml_reconstruct_state(row)
+        rho, ll, on_boundary = scalar_fit(row)
+        assert fit.rho.tobytes() == alone.rho.tobytes() == rho.tobytes()
+        assert fit.on_boundary == alone.on_boundary == on_boundary
+        for value in (fit.log_likelihood, alone.log_likelihood):
+            assert abs(value - ll) <= 1e-15 * abs(ll)
+
+
+nonzero_basis_counts = basis_counts_st.filter(lambda row: flat_counts(row).sum() > 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(nonzero_basis_counts, min_size=1, max_size=8))
+def test_state_stack_matches_scalar_fits(rows):
+    assert_stack_matches_scalar_fits(rows)
+
+
+EDGE_ROWS = [
+    {"Z": (0.0, 7.0), "X": (0.0, 0.0), "Y": (0.0, 0.0)},  # empty outcomes
+    {"Z": (100.0, 0.0), "X": (0.0, 50.0), "Y": (40.0, 40.0)},
+    {"Z": (0.0, 0.0), "X": (1.0, 1e-300), "Y": (1.0, 1.0)},
+    {"Z": (0.0, 0.0), "X": (0.0, 5e-324), "Y": (0.0, 5e-324)},
+    {"Z": (0.0, 0.0), "X": (0.0, 1e-90), "Y": (1.0, 2.0)},
+    {"Z": (0.0, 0.0), "X": (95.0, 5.0), "Y": (90.0, 10.0)},  # unmeasured basis
+    {"Z": (8.0, 2.0), "X": (9.0, 1.0), "Y": (5.0, 5.0)},  # on the sphere, r_y = 0
+    {"Z": (2.0, 8.0), "X": (1.0, 9.0), "Y": (5.0, 5.0)},  # and with r_x < 0
+    {"Z": (5.0, 5.0), "X": (5.0, 5.0), "Y": (5.0, 5.0)},
+]
+
+
+def test_state_stack_matches_scalar_fits_at_the_edges():
+    assert_stack_matches_scalar_fits(EDGE_ROWS)
+    assert_stack_matches_scalar_fits(EDGE_ROWS[::-1])
+
+
+def test_state_stack_rejects_an_all_zero_row():
+    rows = [[row[b] for b in BASIS_LABELS] for row in EDGE_ROWS]
+    rows.insert(2, [(0.0, 0.0)] * 3)
+    with pytest.raises(DataFormatError, match="total count is zero; nothing to reconstruct"):
+        ml_reconstruct_states(rows)
+    with pytest.raises(DataFormatError, match="total count is zero; nothing to reconstruct"):
+        ml_reconstruct_state({b: (0.0, 0.0) for b in BASIS_LABELS})
+
+
+def test_state_stack_of_none_and_bad_shapes():
+    assert ml_reconstruct_states(np.zeros((0, 3, 2))) == []
+    with pytest.raises(DataFormatError, match="shape"):
+        ml_reconstruct_states(np.ones((2, 2, 2)))
+    with pytest.raises(DataFormatError, match="bad count nan for basis X"):
+        ml_reconstruct_states([[(1.0, 1.0)] * 3, [(1.0, 1.0), (1.0, np.nan), (1.0, 1.0)]])
