@@ -8,8 +8,8 @@ accumulated over repeated fixed-length intervals.
 
 The simulated apparatus is the corrected one.  The feed forward leaves
 both program branches in the gate output ``U(phi)|psi_in>``, each with
-probability 1/2, so :func:`outcome_probabilities` writes the detector
-rates in closed form rather than replaying collapse and correction (the
+probability 1/2, so :func:`_pair_rates` writes the detector rates in
+closed form rather than replaying collapse and correction (the
 step-by-step physics is in :mod:`phasegate.gate`).  Noise model:
 
 * interference visibility scales the coherence of the data qubit's
@@ -18,7 +18,10 @@ step-by-step physics is in :mod:`phasegate.gate`).  Noise model:
   Gaussian draw per setting and interval (one stabilization cycle);
 * detector efficiencies multiply each branch's pair rate;
 * accidental dark coincidences add rate ``dark_i * dark_j * window``
-  per detector pair.
+  per detector pair;
+* each record is an independent Poisson count whose mean is its
+  detector pair's rate times ``interval_s``; :func:`simulate_counts`
+  draws a whole dataset from one generator.
 
 The analysis without feed forward is obtained afterwards by discarding
 the D_p1 records (:func:`select_without_feedforward`), exactly as one
@@ -46,9 +49,7 @@ PROGRAM_DETECTORS = ("D_p0", "D_p1")
 DATA_DETECTORS = ("D_d0", "D_d1")
 
 #: Default experiment grid: the seven programmed phases used throughout.
-DEFAULT_PHASES = tuple(
-    float(p) for p in (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi)
-)
+DEFAULT_PHASES = tuple(float(p) for p in (0.0, np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, np.pi))
 
 CSV_HEADER = "phase,input_state,basis,program_detector,data_detector,interval,count"
 _POW10 = 10 ** np.arange(16, dtype=np.int64)  # exact as doubles too
@@ -113,16 +114,8 @@ def calibrated_noise(**overrides) -> NoiseConfig:
     visibility is the one free knob, set to 0.95 so the reconstructed
     process fidelity lands near 0.975, inside the 0.96-0.99 target band.
     """
-    cfg = NoiseConfig(
-        eta_p0=0.55,
-        eta_d0=0.55,
-        eta_d1=0.55,
-        eta_p1=0.50,
-        dark_quad=400.0,
-        dark_single=180.0,
-        visibility=0.95,
-        phase_sigma=np.pi / 200,
-    )
+    cfg = NoiseConfig(eta_p0=0.55, eta_d0=0.55, eta_d1=0.55, eta_p1=0.50, dark_quad=400.0, dark_single=180.0,
+                      visibility=0.95, phase_sigma=np.pi / 200)
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -393,36 +386,36 @@ def _format_count(c: float) -> str:
     return format(float(c), ".12g")
 
 
-def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
-    """Detector-pair click probabilities for one setting, in closed form.
+def _pair_rates(alpha, beta, phi, basis: str, noise: NoiseConfig) -> np.ndarray:
+    """Coincidence rate per second of each (program, data) detector pair, shape ``phi.shape + (2, 2)``.
 
-    Returns ``(probs, total_rate)``: ``probs`` is the 2x2 array over
-    (program_detector, data_detector), normalized to sum 1, and
-    ``total_rate`` the pre-normalization coincidence rate in counts per
-    second (signal plus accidentals).  ``total_rate`` has the shape of
-    ``phi``, 0-d for a scalar phase, and ``probs`` that shape + ``(2, 2)``.
-
-    The feed forward leaves both program branches, each taken with
-    probability 1/2, in the gate output ``(alpha, beta e^{i phi})``, whose
-    coherence ``rho_10 = V conj(alpha) beta e^{i phi}`` is damped once by
-    the visibility ``V``.  Along the basis axis its Bloch component is
-    ``|alpha|^2 - |beta|^2`` (Z), ``2 Re rho_10`` (X) or ``2 Im rho_10``
-    (Y), and D_d0/D_d1 click with probability ``(1 +- r)/2``.
+    The feed forward leaves both program branches, each taken with probability 1/2, in the gate output
+    ``(alpha, beta e^{i phi})``, whose coherence ``rho_10 = V conj(alpha) beta e^{i phi}`` is damped once by the
+    visibility ``V``.  Along the basis axis its Bloch component ``r`` is ``|alpha|^2 - |beta|^2`` (Z), ``2 Re rho_10``
+    (X) or ``2 Im rho_10`` (Y), and D_d0/D_d1 click with probability ``(1 +- r)/2``.  Efficiencies weight each
+    branch's pair rate; accidentals add ``dark_i * dark_j * window``.  The amplitudes broadcast against ``phi``.
     """
-    if basis not in BASIS_LABELS:
-        raise ConfigError(f"unknown basis {basis!r}")
-    alpha, beta = require_normalized(as_state(psi_in))
-    phi = np.asarray(phi, dtype=float)
     rho10 = noise.visibility * np.conj(alpha) * beta * np.exp(1j * phi)
-    if basis == "Z":
-        r = np.full(phi.shape, abs(alpha) ** 2 - abs(beta) ** 2)
-    else:
-        r = 2.0 * (rho10.real if basis == "X" else rho10.imag)
+    z = np.broadcast_to(abs(alpha) ** 2 - abs(beta) ** 2, rho10.shape)
+    r = z if basis == "Z" else 2.0 * (rho10.real if basis == "X" else rho10.imag)
     q = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0], axis=-1)[..., None, :]
     eta = np.outer((noise.eta_p0, noise.eta_p1), (noise.eta_d0, noise.eta_d1))  # (program, data)
     signal = noise.pair_rate * POSTSELECTION_PROBABILITY * 0.5 * eta
     dark = np.outer((noise.dark_quad, noise.dark_single), (noise.dark_quad, noise.dark_quad)) * noise.coincidence_window
-    rate = signal * q + dark
+    return signal * q + dark
+
+
+def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
+    """Detector-pair click probabilities for one setting, in closed form (:func:`_pair_rates`).
+
+    Returns ``(probs, total_rate)``: ``probs`` is the 2x2 array over (program_detector, data_detector), normalized
+    to sum 1, and ``total_rate`` the pre-normalization coincidence rate in counts per second (signal plus
+    accidentals).  ``total_rate`` has the shape of ``phi``, 0-d for a scalar phase, and ``probs`` that shape + (2, 2).
+    """
+    if basis not in BASIS_LABELS:
+        raise ConfigError(f"unknown basis {basis!r}")
+    alpha, beta = require_normalized(as_state(psi_in))
+    rate = _pair_rates(alpha, beta, np.asarray(phi, dtype=float), basis, noise)
     total_rate = rate.sum(axis=(-2, -1))
     total = total_rate[..., None, None]
     # Degenerate configs (zero pair rate and zero darks) still need a distribution.
@@ -430,28 +423,30 @@ def outcome_probabilities(psi_in, phi, basis: str, noise: NoiseConfig):
     return probs, total_rate
 
 
+def _expected_counts(plan: ExperimentPlan, noise: NoiseConfig, phi: np.ndarray) -> np.ndarray:
+    """Mean count of every record, shaped as a table's counts, at the phase ``phi`` of each (phase, state, basis,
+    interval): the pair rate times ``interval_s``."""
+    alpha, beta = np.array([as_state(label) for label in plan.input_states]).T[..., None]  # (state, 1) each
+    rate = np.stack([_pair_rates(alpha, beta, phi[:, :, bi], basis, noise) for bi, basis in enumerate(plan.bases)], 2)
+    return np.moveaxis(rate, 3, -1) * noise.interval_s
+
+
 def simulate_counts(plan: ExperimentPlan, noise: NoiseConfig, seed: int) -> CountTable:
     """Draw a full synthetic coincidence dataset; deterministic in ``seed``.
 
-    Each setting has its own generator, seeded by ``(seed, stage, phase
-    index, state index, basis index)``, and draws one Gaussian phase jitter
-    per interval, then one Poisson total per interval with mean
-    ``total_rate * interval_s`` at the jittered phase, then one multinomial
-    split of each total over the four detector pairs.  One
-    :func:`outcome_probabilities` call per (state, basis) pair serves the
-    settings of every phase.
+    One generator, seeded by ``(seed, stage)``, draws the Gaussian phase jitter of every (phase, state, basis,
+    interval), then one Poisson count per record in the C order of the table, whose mean :func:`_expected_counts`
+    gives at the jittered phase.  A mean above 2**53, where float counts stop being exact integers, raises
+    :class:`ConfigError` before any count is drawn.
     """
-    shape = (len(plan.phases), len(plan.input_states), len(plan.bases), 2, 2, noise.n_intervals)
-    counts = np.zeros(shape, dtype=float)
-    for si, label in enumerate(plan.input_states):
-        for bi, basis in enumerate(plan.bases):
-            rngs = [np.random.default_rng((int(seed), _STAGE_SIMULATE, pi, si, bi)) for pi in range(len(plan.phases))]
-            phi_t = [phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals) for phi, rng in zip(plan.phases, rngs)]
-            probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
-            for pi, rng in enumerate(rngs):
-                n = rng.poisson(total_rate[pi] * noise.interval_s)
-                counts[pi, si, bi] = rng.multinomial(n, probs[pi].reshape(-1, 4)).T.reshape(2, 2, -1)
-    return CountTable(plan.phases, plan.input_states, plan.bases, counts)
+    rng = np.random.default_rng((int(seed), _STAGE_SIMULATE))
+    shape = (len(plan.phases), len(plan.input_states), len(plan.bases), noise.n_intervals)
+    phi = np.array(plan.phases)[:, None, None, None] + rng.normal(0.0, noise.phase_sigma, shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that overflows or is undefined is refused below
+        mean = _expected_counts(plan, noise, phi)
+    if not (mean <= 2.0**53).all():
+        raise ConfigError(f"expected counts reach {mean.max():.3g}, above 2**53: lower pair_rate or interval_s")
+    return CountTable(plan.phases, plan.input_states, plan.bases, rng.poisson(mean))
 
 
 def rescale_efficiencies(counts: CountTable, noise: NoiseConfig) -> CountTable:

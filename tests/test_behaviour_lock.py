@@ -1,20 +1,29 @@
-"""Behaviour lock: the files of two fixed runs, pinned.
+"""Behaviour lock: the files of fixed runs, pinned.
 
-Runs the criterion-1 config (``ideal_noise(pair_rate=16000)``) and the
-calibrated bench preset, both at seed 1, writes every artefact and
-compares against values recorded from the reference implementation.
-The pins were last recorded when the simulator moved to the closed-form
-detector rates with three array draws per setting, which changed the
-random stream on purpose.  One ``F_chi`` pin (calibrated, pi/3, feed
-forward) was moved by one unit in its 9th digit when the process fit
-gained its Newton stage: both fits are certified, and their unrounded
-values differ by 1.5e-11.
+Two configs, the criterion-1 config (``ideal_noise(pair_rate=16000)``)
+and the calibrated bench preset, each at seed 1, are run twice, and
+every artefact is written and compared against recorded values:
+
+* ``PINS`` takes each dataset from :func:`legacy_stream.legacy_counts`,
+  the per-setting stream that the simulator drew before a dataset came
+  from one generator, and runs it through ``reconstruct_analyses``,
+  ``reports_from_reconstruction`` and ``write_pipeline_artifacts``.  Its
+  pins were recorded when the simulator moved to closed-form detector
+  rates with three array draws per setting, and they did not move when
+  the simulation did, so they pin the fits, reports and writers alone.
+  One ``F_chi`` pin (calibrated, pi/3, feed forward) was moved by one
+  unit in its 9th digit when the process fit gained its Newton stage:
+  both fits are certified, and their unrounded values differ by 1.5e-11.
+* ``STREAM_PINS`` runs ``run_pipeline`` end to end, so it also pins the
+  simulator's one-generator stream.  Its pins were recorded when that
+  stream replaced the per-setting one.
 
 Tolerances, and why:
 
 * ``counts.csv`` is pinned by sha256.  Simulation is deterministic in
-  the seed, so any change to the random stream or the CSV format shows
-  here; a change that alters it on purpose re-pins it and says so.
+  the seed, so a change to the CSV format shows under both pin sets and
+  a change to the random stream under ``STREAM_PINS``; a change that
+  alters either on purpose re-pins it and says so.
 * The ``iterations`` line of every Choi file is pinned exactly: the
   RrhoR and Newton steps of each process fit, so a change to the fit
   schedule shows here even where it leaves every figure in place.
@@ -39,15 +48,17 @@ from typing import NamedTuple
 
 import pytest
 
+from legacy_stream import legacy_counts
+
 from phasegate import RunConfig, calibrated_noise, ideal_noise, run_pipeline, write_pipeline_artifacts
-from phasegate.pipeline import PipelineResult
+from phasegate.pipeline import PipelineResult, reconstruct_analyses, reports_from_reconstruction
 from phasegate.tomography import GAP_TOL, load_choi
 
 STATE_FIGURE_ATOL = 1e-6
 
-# Per run: the noise, the sha256 of counts.csv, the iterations of choi_ff_p00..06 and choi_noff_p00..06, the
-# (newton_iterations, likelihood_decreases) of the same fits, and the rows of report.csv: phi, F_chi, F_av, F_min,
-# P_av, P_min, feed_forward_active, success_probability.
+# Per run on the legacy-stream dataset: the noise, the sha256 of counts.csv, the iterations of choi_ff_p00..06 and
+# choi_noff_p00..06, the (newton_iterations, likelihood_decreases) of the same fits, and the rows of report.csv: phi,
+# F_chi, F_av, F_min, P_av, P_min, feed_forward_active, success_probability.
 PINS = {
     "ideal16k": (
         ideal_noise(pair_rate=16000),
@@ -98,6 +109,57 @@ PINS = {
 }
 
 
+# Per run_pipeline run, on the one-generator stream: the same fields as PINS.
+STREAM_PINS = {
+    "stream-ideal16k": (
+        ideal_noise(pair_rate=16000),
+        "c674fa2d47fea98d4c3e3674159c7811a724340ebc48d08880867a30537d5b55",
+        ((33, 41, 41, 33, 44, 41, 33), (33, 42, 41, 33, 40, 40, 33)),
+        (((1, 0), (9, 0), (9, 0), (1, 0), (12, 0), (9, 0), (1, 0)),
+         ((1, 0), (10, 0), (9, 0), (1, 0), (8, 0), (8, 0), (1, 0))),
+        """\
+0,0.999999479,0.99999909,0.999997234,1,1,1,0.499993786
+0.523598775598,0.999855158,0.99983736,0.99921992,0.999677215,0.998451546,1,0.499993786
+1.0471975512,0.999796772,0.999745272,0.998574842,0.99949348,0.997153978,1,0.499993786
+1.57079632679,0.999999703,0.99999948,0.999998939,1,1,1,0.499993786
+2.09439510239,0.999999812,0.999836753,0.999404414,0.999675243,0.998811871,1,0.499993786
+2.61799387799,0.999999338,0.999827898,0.999384582,0.999659076,0.998774832,1,0.499993786
+3.14159265359,0.999999744,0.999998855,0.999997128,1,1,1,0.499993786
+0,0.999998989,0.9999987,0.999996832,1,1,0,0.249977417
+0.523598775598,0.999961463,0.99981846,0.999031702,0.999640365,0.998072591,0,0.249977417
+1.0471975512,0.999832175,0.999554443,0.997983218,0.99911662,0.995975371,0,0.249977417
+1.57079632679,0.999998241,0.999998581,0.999997369,1,1,0,0.249977417
+2.09439510239,0.999999273,0.999830423,0.999226364,0.999665527,0.998457457,0,0.249977417
+2.61799387799,0.999999096,0.999945303,0.999683996,0.999895005,0.99937003,0,0.249977417
+3.14159265359,0.999998739,0.999998282,0.999994068,1,1,0,0.249977417
+""",
+    ),
+    "stream-calibrated": (
+        calibrated_noise(),
+        "69137b2c78e4d5ff32129d8fe4418064a87f0a24f231d5febd3d597552e3481e",
+        ((40, 34, 34, 34, 34, 36, 34), (38, 34, 34, 34, 34, 41, 34)),
+        (((8, 1), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0), (2, 0)),
+         ((6, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 1), (2, 0))),
+        """\
+0,0.973657899,0.982452099,0.972344829,0.965982486,0.946387557,1,0.499972889
+0.523598775598,0.974142497,0.982747401,0.970942295,0.966574815,0.943576521,1,0.499972889
+1.0471975512,0.976248024,0.984201692,0.971787916,0.969281609,0.945393088,1,0.499972889
+1.57079632679,0.973910969,0.982594952,0.971365433,0.966243532,0.944604667,1,0.499972889
+2.09439510239,0.974818234,0.983221726,0.972582391,0.96736001,0.946733414,1,0.499972889
+2.61799387799,0.974755224,0.983243935,0.970132777,0.96753311,0.942376527,1,0.499972889
+3.14159265359,0.976563583,0.984389649,0.974019155,0.969666907,0.94975531,1,0.499972889
+0,0.973198664,0.982134045,0.971066191,0.965573593,0.944210063,0,0.250054659
+0.523598775598,0.97500392,0.983340701,0.971404623,0.967665132,0.944572368,0,0.250054659
+1.0471975512,0.977425724,0.985048277,0.972143852,0.971096751,0.946254604,0,0.250054659
+1.57079632679,0.97518805,0.983476799,0.973441534,0.968077153,0.948527951,0,0.250054659
+2.09439510239,0.976170199,0.98415292,0.972755971,0.969218231,0.947165281,0,0.250054659
+2.61799387799,0.97828971,0.985556261,0.973139718,0.972221793,0.948521044,0,0.250054659
+3.14159265359,0.976901577,0.984617917,0.972152803,0.970176872,0.946161253,0,0.250054659
+""",
+    ),
+}
+
+
 class LockedRun(NamedTuple):
     out: Path
     counts_sha: str
@@ -110,12 +172,18 @@ class LockedRun(NamedTuple):
     result: PipelineResult
 
 
-@pytest.fixture(scope="module", params=sorted(PINS))
+@pytest.fixture(scope="module", params=[*sorted(PINS), *sorted(STREAM_PINS)])
 def locked_run(request, tmp_path_factory):
-    noise, counts_sha, choi_iterations, newton_split, report_rows = PINS[request.param]
+    noise, counts_sha, choi_iterations, newton_split, report_rows = {**PINS, **STREAM_PINS}[request.param]
     out = tmp_path_factory.mktemp(request.param)
     cfg = RunConfig(noise=noise, seed=1, output_dir=str(out))
-    result = run_pipeline(cfg)
+    if request.param in STREAM_PINS:
+        result = run_pipeline(cfg)
+    else:
+        table = legacy_counts(cfg.plan, noise, cfg.seed)
+        recon_sets = reconstruct_analyses(table, noise, [True, False])
+        reports = [row for rs in recon_sets for row in reports_from_reconstruction(rs)]
+        result = PipelineResult(table, recon_sets, reports)
     write_pipeline_artifacts(cfg, result)
     rows = [row.split(",") for row in report_rows.splitlines()]
     return LockedRun(out, counts_sha, choi_iterations, newton_split, rows, result)

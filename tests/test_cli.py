@@ -223,26 +223,37 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_accidentals_above_the_pair_rate_are_a_config_error(self, tmp_path, capsys):
-        # Dark counts far above the pair rate: 16.9 usable events per generated pair.
+        # Dark counts far above the pair rate: 16.5 usable events per generated pair.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"noise": {"pair_rate": 1.0, "dark_quad": 20000.0, "dark_single": 20000.0},
                                     "plan": {"phases": [0.0]}, "seed": 1}))
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: usable fraction 16.9") and "pair_rate * interval_s" in err
+        assert err.startswith("config error: usable fraction 16.4552 is above 1") and "pair_rate * interval_s" in err
         assert not out.exists()
 
     def test_reconstruct_with_efficiencies_the_counts_lack_is_a_config_error(self, tmp_path, capsys):
-        # Ideal counts read as if every detector had efficiency 1/2: usable fraction 0.5 / 0.25 = 2.
+        # Ideal counts read as if every detector had efficiency 1/2: usable fraction 0.5 / 0.25 = 2, up to noise.
         out = tmp_path / "out"
         assert main(["simulate", "--seed", "1", "--out", str(out)]) == EXIT_OK
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"noise": {"eta_p0": 0.5, "eta_d0": 0.5, "eta_d1": 0.5, "eta_p1": 0.5}}))
         capsys.readouterr()
         assert main(["reconstruct", str(out / "counts.csv"), "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: usable fraction 2")
+        assert capsys.readouterr().err.startswith("config error: usable fraction 1.99982 is above 1")
         assert [p.name for p in out.iterdir()] == ["counts.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_expected_count_beyond_exact_integers_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"pair_rate": 1e300}, "seed": 1}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expected counts reach 7.5e+299, above 2**53")
+        assert "pair_rate" in err and "interval_s" in err
+        assert not out.exists()
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-3", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -122,24 +122,25 @@ def written_bytes(table):
         return ours.read_bytes(), reference.read_bytes()
 
 
-def per_setting_reference(plan, noise, seed):
-    """Rebuild a dataset setting by setting from the documented stream contract.
+def one_stream_reference(plan, noise, seed):
+    """Rebuild a dataset from the documented stream contract, one setting and interval at a time.
 
-    Setting (phase pi, state si, basis bi) draws from
-    ``default_rng((seed, crc32(b"simulate"), pi, si, bi))``: the phase
-    jitter of every interval, then the Poisson totals, then the
-    multinomial split of each total, with one probability call per setting.
+    One generator, ``default_rng((seed, crc32(b"simulate")))``, draws the
+    phase jitter of every (phase, state, basis, interval), then one Poisson
+    count per record in the C order of the (phase, state, basis, D_p, D_d,
+    interval) grid, with mean ``probs * total_rate * interval_s`` from
+    :func:`outcome_probabilities` at the jittered phase.
     """
-    counts = np.zeros((len(plan.phases), len(plan.input_states), len(plan.bases), 2, 2, noise.n_intervals))
-    for pi, phi in enumerate(plan.phases):
-        for si, label in enumerate(plan.input_states):
-            for bi, basis in enumerate(plan.bases):
-                rng = np.random.default_rng((seed, zlib.crc32(b"simulate"), pi, si, bi))
-                phi_t = phi + rng.normal(0.0, noise.phase_sigma, noise.n_intervals)
-                probs, total_rate = outcome_probabilities(label, phi_t, basis, noise)
-                n = rng.poisson(total_rate * noise.interval_s)
-                counts[pi, si, bi] = rng.multinomial(n, probs.reshape(-1, 4)).T.reshape(2, 2, -1)
-    return counts
+    rng = np.random.default_rng((seed, zlib.crc32(b"simulate")))
+    jitter = rng.normal(0.0, noise.phase_sigma, (len(plan.phases), len(plan.input_states), len(plan.bases),
+                                                 noise.n_intervals))
+    mean = np.zeros(jitter.shape[:3] + (2, 2, noise.n_intervals))
+    for (pi, phi), (si, label), (bi, basis) in itertools.product(
+            enumerate(plan.phases), enumerate(plan.input_states), enumerate(plan.bases)):
+        for t in range(noise.n_intervals):
+            probs, total_rate = outcome_probabilities(label, phi + jitter[pi, si, bi, t], basis, noise)
+            mean[pi, si, bi, :, :, t] = probs * total_rate * noise.interval_s
+    return rng.poisson(mean)
 
 
 class TestOutcomeProbabilities:
@@ -235,17 +236,45 @@ class TestSimulateCounts:
          (ExperimentPlan(), calibrated_noise(pair_rate=0.0))],
         ids=["default", "reordered_subset", "pair_rate_0"],
     )
-    def test_matches_per_setting_stream_reference(self, plan, noise):
-        assert np.array_equal(simulate_counts(plan, noise, 11).counts, per_setting_reference(plan, noise, 11))
-        _, total_rate = outcome_probabilities("+", 0.3, "X", noise)
-        assert float(total_rate) == total_rate
+    def test_matches_one_stream_reference(self, plan, noise):
+        assert np.array_equal(simulate_counts(plan, noise, 11).counts, one_stream_reference(plan, noise, 11))
 
-    def test_one_probability_call_per_state_and_basis(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(experiment, "outcome_probabilities",
-                            lambda *args: calls.append(args) or outcome_probabilities(*args))
-        simulate_counts(ExperimentPlan(), calibrated_noise(), 11)
-        assert len(calls) == len(STATE_LABELS) * len(BASIS_LABELS) == 18
+    def test_expected_counts_match_outcome_probabilities(self):
+        # The one closed-form pass gives every record the mean that the per-setting probabilities give.
+        plan = ExperimentPlan(phases=(2.0, 0.0, np.pi), input_states=("-i", *STATE_LABELS[:5]), bases=("Y", "Z", "X"))
+        noise = calibrated_noise(visibility=0.9, eta_d1=0.4)
+        phi = np.array(plan.phases)[:, None, None, None] + np.random.default_rng(5).normal(0.0, 0.3, (3, 6, 3, 4))
+        mean = experiment._expected_counts(plan, noise, phi)
+        assert mean.shape == (3, 6, 3, 2, 2, 4)
+        grid = itertools.product(range(3), enumerate(plan.input_states), enumerate(plan.bases))
+        for pi, (si, label), (bi, basis) in grid:
+            probs, total_rate = outcome_probabilities(label, phi[pi, si, bi], basis, noise)
+            expected = np.moveaxis(probs * total_rate[:, None, None] * noise.interval_s, 0, -1)
+            np.testing.assert_allclose(mean[pi, si, bi], expected, rtol=1e-15, atol=0.0)
+
+    def test_pair_counts_are_independent_poisson(self):
+        # One steady setting over many intervals: each pair's count has its Poisson mean and a variance equal to
+        # it, and the four pairs are uncorrelated.
+        plan = ExperimentPlan(phases=(0.0,), input_states=("+",), bases=("Y",))
+        n = 20000
+        noise = calibrated_noise(phase_sigma=0.0, n_intervals=n)
+        counts = simulate_counts(plan, noise, 31).counts.reshape(4, n)
+        probs, total_rate = outcome_probabilities("+", 0.0, "Y", noise)
+        for row, lam in zip(counts, (probs * total_rate * noise.interval_s).ravel()):
+            assert abs(row.mean() - lam) < 4 * np.sqrt(lam / n)
+            assert abs(row.var(ddof=1) / row.mean() - 1.0) < 4 * np.sqrt((2.0 + 1.0 / lam) / n)
+        correlation = np.corrcoef(counts)[np.triu_indices(4, 1)]
+        assert np.all(np.abs(correlation) < 4 / np.sqrt(n))
+
+    def test_expected_count_beyond_exact_integers_is_a_config_error(self):
+        plan = ExperimentPlan(phases=(0.0,), input_states=("+",), bases=("X",))
+        # The D_d0 record's mean is pair_rate * interval_s / 4: 2**52 is drawn, just above 2**53 is refused, and so
+        # are 1e300 pairs per second and a mean that is not a number (infinite darks over zero seconds).
+        assert simulate_counts(plan, ideal_noise(pair_rate=2.0**54, interval_s=1.0), 1).counts.max() > 2.0**51
+        for noise in (ideal_noise(pair_rate=2.0**55 * (1 + 1e-9), interval_s=1.0), ideal_noise(pair_rate=1e300),
+                      ideal_noise(dark_quad=1e300, interval_s=0.0)):
+            with pytest.raises(ConfigError, match="above 2\\*\\*53: lower pair_rate or interval_s"):
+                simulate_counts(plan, noise, 1)
 
     def test_noiseless_wrong_port_is_empty(self):
         plan = ExperimentPlan(phases=(0.0,), input_states=("+",), bases=("X",))

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_stream import legacy_counts
 
 from phasegate import pipeline, tomography
 from phasegate.config import RunConfig
 from phasegate.errors import ConfigError, ConvergenceError, DataFormatError
-from phasegate.experiment import CountTable, ExperimentPlan, calibrated_noise, ideal_noise, simulate_counts
+from phasegate.experiment import (
+    CountTable,
+    ExperimentPlan,
+    calibrated_noise,
+    ideal_noise,
+    select_without_feedforward,
+    simulate_counts,
+)
 from phasegate.pipeline import (
     _atomic,
     collect_reports,
@@ -160,9 +168,9 @@ class TestReconstructTable:
         (calibrated_noise(), 114, 1e-15),
     ])
     def test_one_pass_matches_each_analysis_alone(self, noise, seed, choi_atol):
-        result = run_pipeline(RunConfig(noise=noise, seed=seed))
-        for rs in result.reconstructions:
-            alone = reconstruct_table(result.counts, noise, rs.feed_forward)
+        table = legacy_counts(ExperimentPlan(), noise, seed)
+        for rs in pipeline.reconstruct_analyses(table, noise, [True, False]):
+            alone = reconstruct_table(table, noise, rs.feed_forward)
             assert rs.success_probability == alone.success_probability
             for fit, ref in zip(rs.processes, alone.processes, strict=True):
                 assert (fit.iterations, fit.newton_iterations, fit.stop_reason, fit.likelihood_decreases) == (
@@ -172,6 +180,13 @@ class TestReconstructTable:
                     assert fit.choi.tobytes() == ref.choi.tobytes()
             for states, refs in zip(rs.output_states, alone.output_states, strict=True):
                 assert [s.rho.tobytes() for s in states] == [s.rho.tobytes() for s in refs]
+
+    def test_legacy_dataset_114_lacks_an_outcome_only_without_feed_forward(self):
+        # The case that the tolerance of test_one_pass_matches_each_analysis_alone is for.
+        table = legacy_counts(ExperimentPlan(), calibrated_noise(), 114)
+        kept = [np.count_nonzero(tomography._outcome_counts(analyzed, slice(None))[1].any(axis=0))
+                for analyzed in (table, select_without_feedforward(table))]
+        assert kept == [35, 34]
 
     @pytest.mark.parametrize("variants", [(True, False), (False,), (True,)])
     def test_usable_fraction_above_one_raises_before_any_fit(self, monkeypatch, variants):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from legacy_stream import legacy_counts
 
 from phasegate import tomography
 from phasegate.errors import ConvergenceError, DataFormatError
@@ -129,8 +130,8 @@ NOISY_GATES = [expected_counts(0.9 * ideal_choi(phi) + 0.05 * np.eye(4)) for phi
 
 
 def pipeline_row(noise, seed, feed_forward, phase_index):
-    """The count row, in the order of OPERATORS, of one phase of a simulated dataset as the pipeline fits it."""
-    table = simulate_counts(ExperimentPlan(), noise, seed)
+    """The count row, in the order of OPERATORS, of one phase of a legacy-stream dataset as the pipeline fits it."""
+    table = legacy_counts(ExperimentPlan(), noise, seed)
     analyzed = table if feed_forward else select_without_feedforward(table)
     return np.array([s.count for s in settings_for_phase(rescale_efficiencies(analyzed, noise), phase_index)])
 
@@ -212,7 +213,7 @@ def test_batched_fits_match_fits_one_at_a_time(batch):
 
 @pytest.fixture(scope="module")
 def dataset_phases():
-    """Settings of every phase and analysis, keyed by (noise model, dataset seed).
+    """Settings of every phase and analysis of legacy-stream datasets, keyed by (noise model, dataset seed).
 
     Seed 1 of both models is the behaviour-lock data.  On calibrated dataset 103 at phi = 0
     the rank read off the warm-up drops a direction that the optimum keeps, and on ideal16k
@@ -223,7 +224,7 @@ def dataset_phases():
                 ("ideal16k", 1): ideal_noise(pair_rate=16000.0)}
     phases = {}
     for (model, seed), noise in datasets.items():
-        table = simulate_counts(ExperimentPlan(), noise, seed)
+        table = legacy_counts(ExperimentPlan(), noise, seed)
         phases[model, seed] = [settings_for_phase(rescale_efficiencies(analyzed, noise), pi)
                                for analyzed in (table, select_without_feedforward(table))
                                for pi in range(len(table.phases))]
@@ -268,7 +269,7 @@ def test_exhausted_newton_stops_stalled(monkeypatch):
     # With one Newton step per pass the fit ends uncertified well before the iteration cap.
     monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
     noise = calibrated_noise()
-    table = simulate_counts(ExperimentPlan(phases=(0.0,)), noise, 1)
+    table = legacy_counts(ExperimentPlan(phases=(0.0,)), noise, 1)
     fit = ml_reconstruct_process(settings_for_phase(rescale_efficiencies(table, noise), 0))
     assert fit.stop_reason == "stalled" and not fit.converged
     assert fit.certified_gap > GAP_TOL
@@ -313,7 +314,7 @@ def test_stalled_fits_beside_certified_ones(monkeypatch, dataset_phases):
 def test_table_batch_matches_fits_per_phase():
     # One batch per table, with the phases' counts in the order of settings_for_phase.
     for noise, seed in ((calibrated_noise(), 103), (ideal_noise(pair_rate=16000.0), 1)):
-        table = simulate_counts(ExperimentPlan(), noise, seed)
+        table = legacy_counts(ExperimentPlan(), noise, seed)
         for analyzed in (table, select_without_feedforward(table)):
             rescaled = rescale_efficiencies(analyzed, noise)
             fits, = tomography.ml_reconstruct_phases(rescaled)
