@@ -84,8 +84,7 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_simulate(cfg: RunConfig, args) -> int:
     table = simulate_counts(cfg.plan, cfg.noise, cfg.require_seed())
     path = write_counts(table, cfg.output_dir)
     n_rows = table.counts.size
@@ -93,8 +92,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_reconstruct(cfg: RunConfig, args) -> int:
     table = CountTable.from_csv(args.counts)
     rs = reconstruct_table(table, cfg.noise, cfg.feed_forward)
     written = write_reconstruction(rs, cfg.output_dir, emit=cfg.emit)
@@ -109,8 +107,7 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_report(cfg: RunConfig, args) -> int:
     reports, warnings = collect_reports(cfg.output_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -119,8 +116,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_pipeline(cfg: RunConfig, args) -> int:
     result = run_pipeline(cfg)
     write_pipeline_artifacts(cfg, result)
     print(format_merit_table(result.reports), end="")
@@ -140,7 +136,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command][0](_config_from_args(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .gate import POSTSELECTION_PROBABILITY, canonical_phase
+from .gate import POSTSELECTION_PROBABILITY, ProgramOutcome, canonical_phase, format_phase
 from .states import BASIS_LABELS, STATE_LABELS, as_state, require_normalized
 
-PROGRAM_DETECTORS = ("D_p0", "D_p1")
+PROGRAM_DETECTORS = tuple(outcome.value for outcome in ProgramOutcome)
 DATA_DETECTORS = ("D_d0", "D_d1")
 
 #: Default experiment grid: the seven programmed phases used throughout.
@@ -192,12 +192,11 @@ class CountTable:
     def to_csv(self, path) -> None:
         """Write the table as a count CSV: UTF-8 with no byte-order mark, LF line endings.
 
-        Records follow the C order of the ``(phase, state, basis, D_p, D_d, interval)`` grid, with phases at
-        ``.12g``, whole counts as integers and other counts at ``.12g``.  Two phases that do not differ in their
-        first 12 significant digits would read back as one: they raise :class:`DataFormatError` before any record.
+        Records follow the C order of the ``(phase, state, basis, D_p, D_d, interval)`` grid, phases as
+        :func:`format_phase` spells them, whole counts as integers and other counts at ``.12g``.  Two phases alike in
+        their first 12 significant digits would read back as one: they raise :class:`DataFormatError` before any record.
         """
-        # A spelling that rounds up to 2*pi would read back near 0, so that phase is written as phi - 2*pi.
-        spellings = [f"{p:.12g}" if float(f"{p:.12g}") < math.tau else f"{p - math.tau:.12g}" for p in self.phases]
+        spellings = [format_phase(p) for p in self.phases]
         first: dict[float, int] = {}  # phase read back -> index of the first phase that writes it
         for i, s in enumerate(spellings):
             if (j := first.setdefault(phi := _phase(s), i)) != i:
@@ -226,7 +225,8 @@ class CountTable:
         A faulty row is reported as the first faulty line, by its number; :func:`_first_fault` runs the checks of
         one line, in order.
 
-        Cost: the file is tokenized as one byte array and its digits are converted in bulk (:func:`_numbers`).
+        Cost: the file is tokenized as one byte array; intervals and whole counts are read in bulk, and other counts
+        through ``float`` one by one (:func:`_numbers`).
         The phase and labels are decoded and checked once per run of lines with equal first five fields, so a file
         in written order pays Python work per setting, and one with shuffled rows per row.
         """
@@ -355,26 +355,16 @@ def _first_fault(lines) -> str | None:
 def _numbers(data: bytes, first, stop, parse) -> np.ndarray:
     """The fields ``data[first:stop]`` as ``parse`` (``int`` or ``float``) reads them, as int64 or float64.
 
-    Fields of 1-15 ASCII digits, where a float field may hold one ``.`` among at most 15 bytes, are read in bulk, one
-    byte place from the right at a time, and a point multiplies what was read by 10.  A float is that integer over
-    ``10**(k + 1)``, ``k`` digits after the point: exact doubles (below 10**15 < 2**53, power at most 10**22), so IEEE
-    division rounds their quotient as ``float`` does (Clinger, PLDI 1990).  Other spellings go to ``parse`` one by one.
+    Fields of 1-15 ASCII digits are read in bulk, one byte place from the right at a time; below 10**15 < 2**53 they
+    are exact as doubles too.  Every other spelling goes to ``parse`` one by one.
     """
     buf, width = np.frombuffer(data, np.uint8), stop - first
-    value, point, bulk = np.zeros(len(width), np.int64), np.full(len(width), -1), width <= 15
+    value, bulk = np.zeros(len(width), np.int64), (width > 0) & (width <= 15)
     for j in range(min(int(width.max()), 15)):
-        inside, byte = j < width, buf[stop - (j + 1)]
-        if parse is float:
-            at = inside & (byte == ord("."))
-            bulk &= ~at | (point < 0)
-            point[at] = j  # the point's place from the right
-            value[at] *= 10
-            inside &= ~at
-        digit = (byte - ord("0")) * inside  # uint8, so bytes below "0" wrap above 9
+        digit = (buf[stop - (j + 1)] - ord("0")) * (j < width)  # uint8, so bytes below "0" wrap above 9
         bulk &= digit <= 9
         value += digit * _POW10[j]
-    bulk &= width > (point >= 0)  # a digit at least
-    out = value if parse is int else value / _POW10[point + 1]
+    out = value if parse is int else value.astype(float)
     for i in np.flatnonzero(~bulk).tolist():
         out[i] = parse(data[first[i]:stop[i]].decode())
     return out

@@ -53,6 +53,13 @@ def canonical_phase(phi: float) -> float:
     return 0.0 if p >= _TWO_PI else p
 
 
+def format_phase(phi: float) -> str:
+    """The spelling of a phase in every file: 12 significant digits, or those of ``phi - 2*pi`` where that spelling
+    would round up to 2*pi, which readers would wrap to near 0."""
+    s = f"{phi:.12g}"
+    return s if float(s) < _TWO_PI else f"{phi - _TWO_PI:.12g}"
+
+
 def prepare_program(phi: float) -> np.ndarray:
     """Program-qubit state ``(|0> + e^{i phi} |1>)/sqrt(2)`` encoding the angle."""
     s = 1.0 / np.sqrt(2.0)

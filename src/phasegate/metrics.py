@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .gate import canonical_phase
+from .gate import canonical_phase, format_phase
 from .states import STATE_LABELS, as_state, ket
 from .tomography import CHOI_DIM, require_hermitian
 
@@ -127,7 +127,7 @@ def write_merit_csv(path, reports) -> None:
         f.write(MERIT_CSV_HEADER + "\n")
         for r in reports:
             f.write(
-                f"{r.phi:.12g},{r.F_chi:.9g},{r.F_av:.9g},{r.F_min:.9g},"
+                f"{format_phase(r.phi)},{r.F_chi:.9g},{r.F_av:.9g},{r.F_min:.9g},"
                 f"{r.P_av:.9g},{r.P_min:.9g},{int(r.feed_forward_active)},{r.success_probability:.9g}\n"
             )
 

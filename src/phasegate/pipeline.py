@@ -231,9 +231,9 @@ def collect_reports(out_dir: str):
     non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from ``success_probability`` in each Choi
     file.  Missing or non-numeric metadata, a file whose ``feed_forward``
-    or a state file whose ``input_state`` is not the one its name says,
-    or a merit figure outside [0, 1], raises :class:`DataFormatError`
-    naming the file.
+    or a state file whose ``input_state`` is not the one its name says, a
+    state file whose phase is not its Choi file's modulo 2*pi, or a merit
+    figure outside [0, 1], raises :class:`DataFormatError` naming the file.
     """
     if not os.path.isdir(out_dir):
         raise DataFormatError(f"not a directory: {out_dir}")
@@ -265,7 +265,7 @@ def collect_reports(out_dir: str):
             path = states_here[label]
             rho, smeta = load_state(path)
             _require_variant(path, smeta, ff)
-            if abs(_meta_number(path, smeta, "phase") - phi) > 1e-9:
+            if abs(math.remainder(_meta_number(path, smeta, "phase") - phi, math.tau)) > 1e-9:
                 raise DataFormatError(f"{path}: phase does not match {choi_path}")
             if smeta["input_state"] != label:
                 raise DataFormatError(f"{path}: input_state {smeta['input_state']!r} does not match the file name")

@@ -49,6 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConvergenceError, DataFormatError
+from .gate import format_phase
 from .states import BASIS_LABELS, BASIS_OUTCOMES, STATE_LABELS, density
 
 CHOI_DIM = 4
@@ -153,9 +154,7 @@ def apply_map(chi, rho_in) -> tuple[np.ndarray, float]:
     ``weight`` is the pre-normalization trace, the map's acceptance
     probability for this input when ``chi`` is trace-normalized to 2.
     """
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (CHOI_DIM, CHOI_DIM):
-        raise ValueError(f"Choi matrix must be 4x4, got shape {chi.shape}")
+    chi = require_psd(chi, CHOI_DIM, "Choi matrix")
     rho = require_psd(rho_in, 2, "density matrix", trace=1.0)
     # Tr_in[chi (rho^T (x) I)]_{kl} = sum_ij chi_{(i,k),(j,l)} rho_{ij}
     raw = np.einsum("ikjl,ij->kl", chi.reshape(2, 2, 2, 2), rho)
@@ -244,13 +243,15 @@ def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
-def _settled(gap: float, n_total: float) -> str | None:
-    """The stop reason the certificate ``gap`` of a fit to ``n_total`` events gives, or None to go on."""
+def _settled(lam: float, n_total: float, trace_target: float) -> tuple[float, str | None]:
+    """The certificate ``gap = N (trace_target lam - 1)`` of a fit to ``n_total`` events whose gradient has the
+    largest eigenvalue ``lam``, and the stop reason it gives, or None to go on."""
+    gap = float(n_total * (trace_target * lam - 1.0))
     # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
     floor = _ROUNDING_RTOL * (n_total + gap)
     if gap <= GAP_TOL:
-        return "certified" if floor <= GAP_TOL else "rounding"
-    return "rounding" if gap <= floor else None
+        return gap, "certified" if floor <= GAP_TOL else "rounding"
+    return gap, "rounding" if gap <= floor else None
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -343,13 +344,13 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     stops = fell | np.array(still).T if tol > 0.0 else fell
     first, ended = stops.argmax(axis=1).tolist(), stops.any(axis=1)
     est, q, r = iterates[-1]
-    lam = np.linalg.eigvalsh(np.where(ended[:, None, None], 0.0, r))[:, -1]
-    gaps = (n_total * (trace_target * q[:, 0, -1] * lam - 1.0)).tolist()
+    # lambda_max of the gradient at the iterate scaled to trace_target, which is q_0 times that of r.
+    lam = (q[:, 0, -1] * np.linalg.eigvalsh(np.where(ended[:, None, None], 0.0, r))[:, -1]).tolist()
     # Each fit is a record whose trace is a list and whose stop is None until it is settled.
     fits, est, r = [], [], []
     for j, i in enumerate(first):
         if not ended[j]:
-            at, decreases, gap, reason = len(history) - 1, 0, gaps[j], _settled(gaps[j], n_total[j])
+            at, decreases, (gap, reason) = len(history) - 1, 0, _settled(lam[j], n_total[j], trace_target)
         elif fell[j, i]:
             at, decreases, gap, reason = i, 1, math.inf, None
         else:
@@ -369,9 +370,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     unsettled = [j for j, fit in enumerate(fits) if fit.stop_reason in (None, "step")]
     for j, lam in zip(unsettled, np.linalg.eigvalsh(r[unsettled])[:, -1].tolist() if unsettled else ()):
         fit = fits[j]
-        fit.certified_gap = gap = float(n_total[j] * (trace_target * lam - 1.0))
-        fit.stop_reason = (_settled(gap, n_total[j]) or fit.stop_reason
-                           or ("max_iters" if fit.iterations >= MAX_ITERS else "stalled"))
+        fit.certified_gap, reason = _settled(lam, n_total[j], trace_target)
+        fit.stop_reason = reason or fit.stop_reason or ("max_iters" if fit.iterations >= MAX_ITERS else "stalled")
     return fits
 
 
@@ -380,11 +380,10 @@ def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_tar
 
     The fits of one factor rank step as one stack, and the full-rank retries as one more.
     """
-    sub, dim = slice(None) if len(go) == len(fits) else go, est.shape[-1]
-    w, v = np.linalg.eigh(est[sub])
-    multipliers = 1.0 - trace_target * (v.conj() * (r[sub] @ v)).sum(axis=1).real
+    dim, warm = est.shape[-1], (est[go], r[go], [len(fits[j].log_likelihood_trace) for j in go])
+    w, v = np.linalg.eigh(warm[0])
+    multipliers = 1.0 - trace_target * (v.conj() * (warm[1] @ v)).sum(axis=1).real
     columns = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).mT  # row i: column i of B
-    warm = est[sub].copy(), r[sub].copy(), [len(fits[j].log_likelihood_trace) for j in go]
     # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
     # (|min|) is not told apart from them, and the direction of the smallest always stays.
     kept = [[m <= max(0.5 * max(mu), abs(min(mu))) for m in mu] for mu in multipliers.tolist()]
@@ -458,8 +457,7 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
         for j, fit_ll, lam, damped in zip(ids, ll, np.linalg.eigvalsh(r_new)[:, -1].tolist(), alpha[:, 0] < 1.0):
             fits[j].log_likelihood_trace.append(fit_ll)
             fits[j].likelihood_decreases += int(damped)
-            fits[j].certified_gap = gap = float(n_total[j] * (trace_target * lam - 1.0))
-            fits[j].stop_reason = _settled(gap, n_total[j])
+            fits[j].certified_gap, fits[j].stop_reason = _settled(lam, n_total[j], trace_target)
         if not all(on := [fits[j].stop_reason is None for j in ids]):
             if not (ids := [j for j, o in zip(ids, on) if o]):
                 return
@@ -685,12 +683,13 @@ def state_counts(counts_table, index=()) -> np.ndarray:
 def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, **extra) -> None:
     """Write a Choi matrix with its metadata to a line-oriented text file.
 
-    Layout: ``phase``, ``iterations``, ``log_likelihood`` (plus any
-    extra key-value metadata) lines, then ``dim 4`` and 16 row-major
-    ``re im`` entry lines at 15 significant digits.  ``iterations`` is
-    :attr:`ProcessReconstruction.iterations`: RrhoR and Newton steps together.
+    Layout: ``phase`` (as :func:`format_phase` spells it), ``iterations``,
+    ``log_likelihood`` (plus any extra key-value metadata) lines, then
+    ``dim 4`` and 16 row-major ``re im`` entry lines at 15 significant
+    digits.  ``iterations`` is :attr:`ProcessReconstruction.iterations`:
+    RrhoR and Newton steps together.
     """
-    _save_matrix_file(path, chi, CHOI_DIM, extra, phase=f"{phase:.12g}", iterations=int(iterations),
+    _save_matrix_file(path, chi, CHOI_DIM, extra, phase=format_phase(phase), iterations=int(iterations),
                       log_likelihood=f"{log_likelihood:.15g}")
 
 
@@ -707,7 +706,7 @@ def load_choi(path):
 
 def save_state(path, rho, phase: float, input_state: str, **extra) -> None:
     """Write a reconstructed output density matrix, tagged by its setting."""
-    _save_matrix_file(path, rho, 2, extra, phase=f"{phase:.12g}", input_state=input_state)
+    _save_matrix_file(path, rho, 2, extra, phase=format_phase(phase), input_state=input_state)
 
 
 def load_state(path):

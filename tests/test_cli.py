@@ -11,7 +11,7 @@ from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
 from phasegate.experiment import DEFAULT_PHASES, ExperimentPlan, ideal_noise, rescale_efficiencies, simulate_counts
 from phasegate.metrics import ideal_choi, read_merit_csv
-from phasegate.pipeline import STATE_FILE_LABELS
+from phasegate.pipeline import STATE_FILE_LABELS, collect_reports
 from phasegate.states import STATE_LABELS, density
 from phasegate.tomography import GAP_TOL, ml_reconstruct_process, save_choi, save_state, settings_for_phase
 
@@ -202,6 +202,51 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_emit_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--seed", "1", "--out", str(tmp_path), "--emit", ","])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --emit: emit list is empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phase_just_below_two_pi_reads_back_from_every_file(self, tmp_path, capsys):
+        # At 12 digits 2*pi - 1e-13 rounds up to 6.28318530718, above 2*pi, which would read back as 4.1e-13.
+        phases = (0.5, 2 * np.pi - 1e-13)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plan": {"phases": phases}, "noise": {"n_intervals": 2}, "seed": 1}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        in_memory = ExperimentPlan(phases=phases).phases
+        spelled = "-1.00364161426e-13"
+        assert (out / "choi_ff_p01.txt").read_text().startswith(f"phase {spelled}\n")
+        assert (out / "state_noff_p01_plusi.txt").read_text().startswith(f"phase {spelled}\n")
+        written = (out / "report.csv").read_text()
+        assert [line.split(",")[0] for line in written.splitlines()[1:]] == ["0.5", spelled] * 2
+        assert [r.phi for r in read_merit_csv(out / "report.csv")] == list(in_memory) * 2
+        assert [r.phi for r in collect_reports(str(out))[0]] == list(in_memory) * 2
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        assert set((out / "report.csv").read_text().splitlines()) == set(written.splitlines())
+        assert "0.000000" not in capsys.readouterr().out
+
+    def test_report_compares_phases_modulo_two_pi(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plan": {"phases": [0.0, 1.0]}, "noise": {"n_intervals": 2}, "seed": 1}))
+        untouched, respelled = tmp_path / "untouched", tmp_path / "respelled"
+        for out in (untouched, respelled):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert main(["reconstruct", str(out / "counts.csv"), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        states = sorted(respelled.glob("state_ff_p00_*.txt"))
+        assert len(states) == len(STATE_LABELS)
+        for path in states:
+            text = path.read_text()
+            assert text.startswith("phase 0\n")
+            path.write_text(text.replace("phase 0\n", "phase 6.283185307179586\n"))
+        for out in (untouched, respelled):
+            assert main(["report", "--out", str(out)]) == EXIT_OK
+        assert (respelled / "report.csv").read_bytes() == (untouched / "report.csv").read_bytes()
+        assert "warning" not in capsys.readouterr().err
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

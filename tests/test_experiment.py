@@ -388,6 +388,23 @@ class TestUsableFraction:
         assert abs(frac - 0.25) < 3 * np.sqrt(0.25 * n) / n
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.ones((1, 1, 1, 2, 2)),
+         "counts shape (1, 1, 1, 2, 2) does not match index space (1, 1, 1, 2, 2) + intervals"),
+        (np.ones((1, 1, 1, 2, 2, 0)), "count table needs at least one interval"),
+        (np.full((1, 1, 1, 2, 2, 1), -1.0), "counts must be finite and non-negative"),
+        (np.full((1, 1, 1, 2, 2, 1), np.nan), "counts must be finite and non-negative"),
+    ],
+    ids=["shape", "no_interval", "negative", "nan"],
+)
+def test_count_table_built_directly_checks_its_counts(counts, message):
+    with pytest.raises(DataFormatError) as info:
+        CountTable((0.0,), ("0",), ("Z",), counts)
+    assert str(info.value) == message
+
+
 class TestCountTableCsv:
     def test_default_plan_row_count(self, tmp_path):
         table = simulate_counts(ExperimentPlan(), ideal_noise(pair_rate=10.0), 13)
@@ -584,6 +601,7 @@ class TestCountTableCsv:
             ("0,0,Z,D_p0,D_d0,x,-3", "bad interval/count 'x','-3'"),
             ("0,0,Z,D_p0,D_d0,-1,-3", "negative interval -1"),
             ("0,0,Z,D_p0,D_d0,0,inf", "bad count 'inf'"),
+            ("abc,q,Z,D_p0,D_d0,x,5", "bad phase 'abc'"),
         ],
     )
     def test_check_order_within_one_line(self, tmp_path, row, message):

@@ -8,6 +8,7 @@ from phasegate.gate import (
     ProgramOutcome,
     canonical_phase,
     conditional_joint_state,
+    format_phase,
     feed_forward_correct,
     gate_unitary,
     ideal_output,
@@ -182,3 +183,10 @@ def test_canonical_phase_wraps():
     assert canonical_phase(-np.pi / 2) == pytest.approx(3 * np.pi / 2, abs=1e-12)
     assert canonical_phase(5 * np.pi) == pytest.approx(np.pi, abs=1e-12)
     assert canonical_phase(1.0) == 1.0
+
+
+@pytest.mark.parametrize("phi, spelled",
+                         [(0.0, "0"), (np.pi, "3.14159265359"), (2 * np.pi - 1e-13, "-1.00364161426e-13")])
+def test_format_phase_reads_back_below_two_pi(phi, spelled):
+    assert format_phase(phi) == spelled
+    assert canonical_phase(float(spelled)) == pytest.approx(phi, abs=1e-11)

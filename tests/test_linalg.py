@@ -94,6 +94,11 @@ class TestTensor:
             s = TomographySetting(rho, pi, 1.0)
             np.testing.assert_allclose(s.operator, kron_by_hand(rho.T, pi), atol=1e-14)
 
+    @pytest.mark.parametrize("count", [-1.0, float("nan")])
+    def test_count_must_be_finite_and_non_negative(self, count):
+        with pytest.raises(ValueError, match=f"count must be finite and non-negative, got {count!r}"):
+            TomographySetting(density("0"), projector("0"), count)
+
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -163,6 +168,10 @@ class TestEigHermitian:
             require_psd(jordan, 2, "density matrix", trace=1.0)
         with pytest.raises(ValueError, match="not Hermitian"):
             TomographySetting(jordan, projector("0"), 1.0)
+        skewed = np.eye(4)
+        skewed[0, 1] = 1.0  # it would send I/2 to [[0.5, 0.25], [0, 0.5]], no density matrix
+        with pytest.raises(ValueError, match="Choi matrix is not Hermitian"):
+            apply_map(skewed, I2 / 2)
         with pytest.raises(ValueError, match="not Hermitian"):
             process_fidelity(ideal_choi(0.0), np.kron(jordan, projector("0")))
 

@@ -92,6 +92,10 @@ class TestProcessFidelity:
         a, b = ideal_choi(0.4), ideal_choi(2.2)
         assert process_fidelity(a, b) == pytest.approx(process_fidelity(b, a), abs=1e-12)
 
+    def test_rejects_zero_trace(self):
+        with pytest.raises(ValueError, match="positive traces, got 0.000e"):
+            process_fidelity(np.zeros((4, 4)), ideal_choi(0.0))
+
     def test_rejects_mixed_target(self):
         with pytest.raises(ValueError, match="rank 1"):
             process_fidelity(ideal_choi(0.0), np.eye(4) / 2)

@@ -280,6 +280,8 @@ class TestSerialization:
             (good + "0 0\n0 0\n", "expected 4 entries after 'dim', found 6"),
             (good.replace("dim 2\n", ""), "missing 'dim' line"),
             (good.replace("dim 2\n", "dim 3\n"), "expected dim 2, got 3"),
+            (good.removesuffix("0 0\n") + "1.0 abc\n",
+             "malformed matrix file (could not convert string to float: 'abc')"),
         ]:
             path.write_text(text)
             with pytest.raises(DataFormatError) as exc:
