@@ -225,8 +225,11 @@ def _require_variant(path, meta, feed_forward: bool) -> None:
 def collect_reports(out_dir: str):
     """Rebuild merit rows from the choi/state files in a directory.
 
-    Returns ``(reports, warnings)``.  Groups files by (variant, phase
-    index); every group needs its Choi matrix and all six output states.
+    Returns ``(reports, warnings)``, the feed-forward rows first and each
+    analysis in phase-index order, as :func:`run_pipeline` lists them.
+    Groups files by (variant, phase index); every group needs its Choi
+    matrix and all six output states.  Two names of one file, such as
+    ``p0`` beside ``p00``, raise :class:`DataFormatError` naming both.
     Each matrix is checked as it loads (Hermitian, PSD, trace), so a
     non-physical file raises :class:`DataFormatError` naming it.
     Success probabilities come from ``success_probability`` in each Choi
@@ -237,32 +240,29 @@ def collect_reports(out_dir: str):
     """
     if not os.path.isdir(out_dir):
         raise DataFormatError(f"not a directory: {out_dir}")
-    choi_files = {}
-    state_files = {}
+    files = {}  # (feed forward, phase index) names a Choi file, and with a state label a state file
     for name in sorted(os.listdir(out_dir)):
-        m = _CHOI_FILE_RE.match(name)
-        if m:
-            choi_files[(m.group(1) == "ff", int(m.group(2)))] = os.path.join(out_dir, name)
-            continue
-        m = _STATE_FILE_RE.match(name)
-        if m:
-            key = (m.group(1) == "ff", int(m.group(2)))
-            state_files.setdefault(key, {})[_FILE_STATE_LABELS[m.group(3)]] = os.path.join(out_dir, name)
-    if not choi_files:
+        if m := _CHOI_FILE_RE.match(name) or _STATE_FILE_RE.match(name):
+            key = (m.group(1) == "ff", int(m.group(2)), *map(_FILE_STATE_LABELS.get, m.groups()[2:]))
+            if key in files:
+                what = f"{m.group(1)} phase index {key[1]}" + "".join(f" input state {s}" for s in key[2:])
+                raise DataFormatError(f"{files[key]} and {os.path.join(out_dir, name)} both name {what}")
+            files[key] = os.path.join(out_dir, name)
+    choi_keys = sorted((key for key in files if len(key) == 2), key=lambda key: (not key[0], key[1]))  # ff first
+    if not choi_keys:
         raise DataFormatError(f"no choi_*.txt files found in {out_dir}")
-    reports = []
-    warnings = []
-    for (ff, pi), choi_path in sorted(choi_files.items()):
+    reports, warnings = [], []
+    for ff, pi in choi_keys:
+        choi_path = files[ff, pi]
         chi, meta = load_choi(choi_path)
         _require_variant(choi_path, meta, ff)
         phi = _meta_number(choi_path, meta, "phase")
-        states_here = state_files.get((ff, pi), {})
-        missing = [s for s in STATE_LABELS if s not in states_here]
+        missing = [s for s in STATE_LABELS if (ff, pi, s) not in files]
         if missing:
             raise DataFormatError(f"{choi_path}: missing output-state files for {missing}")
         rhos = []
         for label in STATE_LABELS:
-            path = states_here[label]
+            path = files[ff, pi, label]
             rho, smeta = load_state(path)
             _require_variant(path, smeta, ff)
             if abs(math.remainder(_meta_number(path, smeta, "phase") - phi, math.tau)) > 1e-9:

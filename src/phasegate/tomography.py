@@ -212,8 +212,8 @@ class StateReconstruction:
 
 
 @functools.lru_cache(maxsize=64)
-def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
-    """The maximally mixed start and float stacks of the ``kept`` operators, for :func:`_ml_fixed_point`.
+def _design(flat_operators: bytes, dim: int, trace_target: float):
+    """The maximally mixed start and float stacks of the operators, for :func:`_ml_fixed_point`.
 
     Row k of ``grad`` dotted with vec(m) as floats is Re Tr[m E_k] for Hermitian m, and a row of 0 ends it;
     ``probe`` holds the same as columns, but vec(I) / trace_target last, which gives Tr[m] / trace_target.
@@ -222,12 +222,11 @@ def _design(flat_operators: bytes, dim: int, trace_target: float, kept: bytes):
     A design whose operators do not span the Hermitian ``dim x dim`` matrices raises :class:`DataFormatError`.
     """
     flat = np.frombuffer(flat_operators, dtype=complex).reshape(-1, dim * dim)
-    used = flat[np.frombuffer(kept, dtype=bool)]
     trace_row = np.eye(dim, dtype=complex).reshape(1, -1) / trace_target
-    probe, grad = (np.vstack([used, row]).view(float) for row in (trace_row, 0.0 * trace_row))
+    probe, grad = (np.vstack([flat, row]).view(float) for row in (trace_row, 0.0 * trace_row))
     if (rank := int(np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])))) < dim * dim:
         raise DataFormatError(f"measurement design is rank-deficient: spans {rank} of {dim * dim} dimensions")
-    ext = np.vstack([used, np.eye(dim).reshape(1, -1)])
+    ext = np.vstack([flat, np.eye(dim).reshape(1, -1)])
     forms = np.array([[ext.real, -ext.imag], [ext.imag, ext.real]]).reshape(2, 2, -1, dim, dim)
     forms = forms.transpose(2, 3, 0, 4, 1).reshape(-1, 2 * dim, 2 * dim)
     start = np.eye(dim, dtype=complex)[None] * (trace_target / dim)
@@ -272,10 +271,10 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        ``(k, dim, dim)`` stack that keeps every iterate, and each fit is
        judged once, at the end: its first step that would lower ``L``
        sends it to Newton from the iterate before, and otherwise the gap
-       at its last iterate decides between a stop and Newton.  An outcome
-       empty in every fit is dropped; one empty in some fits has weight 0
-       there and 1 added to its ``p_k``, so that it adds exactly 0 to
-       ``L`` and ``R`` (not ``0 log 0``).
+       at its last iterate decides between a stop and Newton.  Every fit
+       sums over all of the design's outcomes: one that a fit lacks has
+       weight 0 there and 1 added to its ``q_k``, so that it adds exactly
+       0 to ``L`` and ``R`` (not ``0 log 0``).
     2. Damped Newton on a factor ``m = trace_target B B^H / |B|^2`` with
        ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of
        the iterate whose multiplier is at least half the largest one,
@@ -295,51 +294,51 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
     it does, from the truncated start too, and the trace of a discarded
-    pass is cut back to the warm-up.  ``tol > 0`` keeps the fits in RrhoR
-    until each has lowered ``L`` or taken a step that changes the iterate
-    by less than ``tol`` in max norm, its first such step ending it; a
-    still stop is not certified.
+    pass is cut back to the warm-up.  Each ``L`` is a sum along its fit's
+    own row, and every product is one fit's, so no fit's arithmetic
+    touches another's, and each fit ends bit for bit as it would alone.
+    ``tol > 0`` keeps the fits in RrhoR until each has lowered ``L`` or
+    taken a step that changes the iterate by less than ``tol`` in max
+    norm, its first such step ending it; a still stop is not certified.
     """
     counts = np.asarray(counts, dtype=float)
-    keep = (counts > 0.0).any(axis=0)
-    start, e_probe, e_grad, forms = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target,
-                                            keep.tobytes())
+    start, e_probe, e_grad, forms = _design(np.asarray(operators, dtype=complex).tobytes(), dim, trace_target)
     n_total = counts.sum(axis=1)
     if not n_total.min() > 0.0:
         raise DataFormatError("total count is zero; nothing to reconstruct")
     # RrhoR steps unnormalized m.  With q_k = Tr[m E_k] and q_0 = Tr[m] / trace_target, p_k = q_k / q_0, and
     # the weight -1 on q_0 gives L = sum_k f_k log q_k - log q_0 and the gradient R / q_0.  The weights of
-    # each fit are a (1, n) matrix of their own, so that its products do not depend on the other fits.
-    weights = np.concatenate([counts[:, None, keep], -n_total[:, None, None]], axis=2) / n_total[:, None, None]
-    empty = weights == 0.0
-    shifted = np.count_nonzero(empty) > 0
+    # each fit are a (1, n) matrix of their own, so that its products do not depend on the other fits, and an
+    # outcome it lacks has weight 0 and 1 added to q_k.
+    weights = np.concatenate([counts, -n_total[:, None]], axis=1)[:, None] / n_total[:, None, None]
+    empty = (weights == 0.0) * 1.0
 
     def probe(m):
-        q = m.reshape(len(m), 1, -1).view(float) @ e_probe
-        if shifted:
-            q += empty
-        return q, np.vecdot(weights, np.log(q))
+        return m.reshape(len(m), 1, -1).view(float) @ e_probe + empty
+
+    def likelihood(q):
+        return (weights * np.log(q)).sum(axis=-1)
 
     def gradient(q):
         return ((weights / q) @ e_grad).view(complex).reshape(len(q), dim, dim)
 
     est = start.repeat(len(counts), axis=0)
-    q, ll = probe(est)
-    iterates, history, still = [(est, q, gradient(q))], [ll], []
+    q = probe(est)
+    iterates, still, ll = [(est, q, gradient(q))], [], likelihood(q)
     warmup, ended = _WARMUP_STEPS if tol <= 0.0 else MAX_ITERS, np.zeros(len(counts), dtype=bool)
-    while len(history) <= warmup and not (tol > 0.0 and ended.all()):  # only tol > 0 ends fits in the loop
+    while len(iterates) <= warmup and not (tol > 0.0 and ended.all()):  # only tol > 0 ends fits in the loop
         previous, _, r = iterates[-1]
         est = r @ previous @ r
-        q, ll = probe(est)
+        q = probe(est)
         if tol > 0.0:  # iterates at trace_target, and the step between them
             est, q = est / q[:, :, -1:], q / q[:, :, -1:]
             still.append(np.abs(est - previous).max(axis=(1, 2)) < tol)
-            ended |= still[-1] | ~(ll[:, 0] >= history[-1][:, 0] - _DECREASE_TOL)
+            ll, before = likelihood(q), ll
+            ended |= still[-1] | ~(ll[:, 0] >= before[:, 0] - _DECREASE_TOL)
         iterates.append((est, q, gradient(q)))
-        history.append(ll)
     # Each fit is judged once, by its first step that lowered L (or made it NaN) or stood still, else by its
     # certificate at the last iterate.  The stack stepped on past a fit's end; those iterates are ignored.
-    lls = np.concatenate(history, axis=1)
+    lls = likelihood(np.concatenate([q for _, q, _ in iterates], axis=1))
     fell = ~(lls[:, 1:] >= lls[:, :-1] - _DECREASE_TOL)
     stops = fell | np.array(still).T if tol > 0.0 else fell
     first, ended = stops.argmax(axis=1).tolist(), stops.any(axis=1)
@@ -350,7 +349,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     fits, est, r = [], [], []
     for j, i in enumerate(first):
         if not ended[j]:
-            at, decreases, (gap, reason) = len(history) - 1, 0, _settled(lam[j], n_total[j], trace_target)
+            at, decreases, (gap, reason) = len(iterates) - 1, 0, _settled(lam[j], n_total[j], trace_target)
         elif fell[j, i]:
             at, decreases, gap, reason = i, 1, math.inf, None
         else:
@@ -362,7 +361,7 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
                                           reason, 0))
     est, r = np.array(est), np.array(r)
     if tol <= 0.0 and (go := [j for j, fit in enumerate(fits) if fit.stop_reason is None]):
-        _newton(fits, go, est, r, forms, e_grad[:-1], weights, empty if shifted else None, n_total, trace_target)
+        _newton(fits, go, est, r, forms, e_grad[:-1], weights, empty, n_total, trace_target)
     for fit, m, n in zip(fits, est, n_total):
         fit.choi, fit.iterations = 0.5 * (m + m.conj().T), fit.iterations + fit.newton_iterations
         fit.log_likelihood_trace = np.asarray(fit.log_likelihood_trace)
@@ -405,12 +404,12 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
     """At most ``_FACTOR_STEPS`` damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``.
 
     Over the float view x of C = B^T (row j: column j of B), L(x) = sum_k f_k log q_k with q_k = Tr[B^H E_k B]
-    = sum_j b_j . forms[k] b_j; the last form, of I, gives q = |x|^2 and weight -1.  Every product is a matmul of
-    one fit, so a fit steps as it would alone, and it leaves the stack once it stops.
+    = sum_j b_j . forms[k] b_j; the last form, of I, gives q = |x|^2 and weight -1.  Every product and sum is one
+    fit's, so a fit steps bit for bit as it would alone, and it leaves the stack once it stops.
     """
     count, rank, dim = c.shape
-    n, row, at = 2 * rank * dim, 2 * dim, slice(None) if count == len(weights) else ids
-    x, f, z = c.view(float).reshape(count, n), weights[at], None if empty is None else empty[at]
+    n, row = 2 * rank * dim, 2 * dim
+    x, f, z = c.view(float).reshape(count, n), weights[ids], empty[ids]
     ll, block_diagonal = [fits[j].log_likelihood_trace[-1] for j in ids], np.eye(rank)[:, None, :, None]
     jac_forms, flat_forms, probe = forms.reshape(-1, row).mT, forms.reshape(len(forms), -1), e_build.T
     for _ in range(_FACTOR_STEPS):
@@ -418,9 +417,7 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
             fits[j].newton_iterations += 1
         blocks = x.reshape(-1, rank, row)
         jac = (blocks @ jac_forms).reshape(len(ids), rank, -1, row).transpose(0, 2, 1, 3).reshape(len(ids), -1, n)
-        q = x[:, None] @ jac.mT  # row k of jac: half the gradient of q_k
-        if z is not None:
-            q += z
+        q = x[:, None] @ jac.mT + z  # row k of jac: half the gradient of q_k
         fq = f / q
         a = 2.0 * (fq @ flat_forms).reshape(-1, row, row)  # the real form of 2 sum_k (f_k / q_k) E_k
         grad = (blocks @ a.mT).reshape(-1, n)
@@ -438,10 +435,8 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
             c_new = x_new.view(complex).reshape(-1, rank, dim)
             scale = trace_target / (x_new[:, None] @ x_new[:, :, None])
             candidate = c_new.mT @ c_new.conj() * scale
-            p = candidate.reshape(-1, 1, dim * dim).view(float) @ probe
-            if z is not None:
-                p += z[..., :-1]
-            ll_new = (f[..., :-1] @ np.log(p).mT)[:, 0, 0].tolist()
+            p = candidate.reshape(-1, 1, dim * dim).view(float) @ probe + z[..., :-1]
+            ll_new = (f[..., :-1] * np.log(p)).sum(axis=-1)[:, 0].tolist()
             ok = [new >= old - _DECREASE_TOL for new, old in zip(ll_new, ll)]  # a NaN L (some p_k <= 0) fails
             if all(ok) or not any(search := [not o and d > _MIN_DAMPING for o, d in zip(ok, alpha[:, 0].tolist())]):
                 break
@@ -450,10 +445,10 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
             if not (ids := [j for j, o in zip(ids, ok) if o]):
                 return
             x_new, scale, candidate, p, f, alpha = (v[ok] for v in (x_new, scale, candidate, p, f, alpha))
-            ll_new, z, at = [v for v, o in zip(ll_new, ok) if o], None if z is None else z[ok], ids
+            ll_new, z = [v for v, o in zip(ll_new, ok) if o], z[ok]
         x, ll = x_new * np.sqrt(scale[:, 0]), ll_new
         r_new = ((f[..., :-1] / p) @ e_build).view(complex).reshape(-1, dim, dim)
-        est[at], r[at] = candidate, r_new
+        est[ids], r[ids] = candidate, r_new
         for j, fit_ll, lam, damped in zip(ids, ll, np.linalg.eigvalsh(r_new)[:, -1].tolist(), alpha[:, 0] < 1.0):
             fits[j].log_likelihood_trace.append(fit_ll)
             fits[j].likelihood_decreases += int(damped)
@@ -461,8 +456,7 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
         if not all(on := [fits[j].stop_reason is None for j in ids]):
             if not (ids := [j for j, o in zip(ids, on) if o]):
                 return
-            x, ll, f, at = x[on], [v for v, o in zip(ll, on) if o], f[on], ids
-            z = None if z is None else z[on]
+            x, ll, f, z = x[on], [v for v, o in zip(ll, on) if o], f[on], z[on]
 
 
 def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:
@@ -543,11 +537,9 @@ def _basis_component(a: float, c: float, mu: float) -> tuple[float, float, float
     sign = 1.0 if a >= c else -1.0
     big, small = max(a, c), min(a, c)
     if small == 0.0:
-        # No pole on the empty side: s solves 2 mu s^2 - 6 mu s + 4 mu - n = 0,
-        # and sits at the pole while n >= 4 mu (the slope at n = 4 mu is the one from above).
+        # No pole on the empty side: s solves 2 mu s^2 - 6 mu s + 4 mu - n = 0.  The sphere solve keeps
+        # mu >= n/4, so x <= 4, and x = 4 gives s = 0, the pole (its slope there is the one from above).
         x = n / mu
-        if x > 4.0:
-            return sign, 0.0, 0.0
         s = (4.0 - x) / (3.0 + math.sqrt(1.0 + 2.0 * x))
     else:
         # s (2 - s) h(sign (1 - s)) * sign: a cubic with h's single root in (0, 1], negative at s = 0.

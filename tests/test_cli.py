@@ -1,5 +1,6 @@
 """Config parsing and the command-line front end (run in-process)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,14 @@ from phasegate import tomography
 from phasegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
-from phasegate.experiment import DEFAULT_PHASES, ExperimentPlan, ideal_noise, rescale_efficiencies, simulate_counts
+from phasegate.experiment import (
+    DEFAULT_PHASES,
+    ExperimentPlan,
+    calibrated_noise,
+    ideal_noise,
+    rescale_efficiencies,
+    simulate_counts,
+)
 from phasegate.metrics import ideal_choi, read_merit_csv
 from phasegate.pipeline import STATE_FILE_LABELS, collect_reports
 from phasegate.states import STATE_LABELS, density
@@ -170,6 +178,21 @@ class TestCli:
                 assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-9)
             assert a.success_probability == pytest.approx(b.success_probability, abs=1e-7)
 
+    def test_staged_files_equal_the_pipeline_files_byte_for_byte(self, tmp_path):
+        # Calibrated seed 7: each fit ends bit for bit as it would alone, and report lists feed forward first.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": dataclasses.asdict(calibrated_noise()), "seed": 7}))
+        oneshot, staged = tmp_path / "oneshot", tmp_path / "staged"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(oneshot)]) == EXIT_OK
+        counts = str(staged / "counts.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", str(staged)]) == EXIT_OK
+        for flags in ([], ["--no-feed-forward"]):
+            assert main(["reconstruct", counts, "--config", str(cfg), "--out", str(staged), *flags]) == EXIT_OK
+        assert main(["report", "--config", str(cfg), "--out", str(staged)]) == EXIT_OK
+        names = sorted(path.name for path in oneshot.iterdir())
+        assert names == sorted(path.name for path in staged.iterdir()) and len(names) == 2 * 7 * 7 + 3
+        assert [name for name in names if (oneshot / name).read_bytes() != (staged / name).read_bytes()] == []
+
     def test_emit_flag_restricts_outputs(self, small_config, tmp_path):
         out = tmp_path / "emit"
         assert main(["pipeline", "--config", small_config, "--out", str(out),
@@ -221,13 +244,13 @@ class TestCli:
         spelled = "-1.00364161426e-13"
         assert (out / "choi_ff_p01.txt").read_text().startswith(f"phase {spelled}\n")
         assert (out / "state_noff_p01_plusi.txt").read_text().startswith(f"phase {spelled}\n")
-        written = (out / "report.csv").read_text()
-        assert [line.split(",")[0] for line in written.splitlines()[1:]] == ["0.5", spelled] * 2
+        written = (out / "report.csv").read_bytes()
+        assert [line.split(",")[0] for line in written.decode().splitlines()[1:]] == ["0.5", spelled] * 2
         assert [r.phi for r in read_merit_csv(out / "report.csv")] == list(in_memory) * 2
         assert [r.phi for r in collect_reports(str(out))[0]] == list(in_memory) * 2
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == EXIT_OK
-        assert set((out / "report.csv").read_text().splitlines()) == set(written.splitlines())
+        assert (out / "report.csv").read_bytes() == written
         assert "0.000000" not in capsys.readouterr().out
 
     def test_report_compares_phases_modulo_two_pi(self, tmp_path, capsys):
@@ -462,6 +485,21 @@ class TestReportRejectsNonPhysicalFiles:
             path.write_text(path.read_text().replace("phase 0\n", "phase zero\n"))
         assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {fragment}")
+        assert not (ideal_files / "report.csv").exists()
+
+    def test_two_choi_files_of_one_phase_exit_3_naming_both(self, ideal_files, capsys):
+        # p0 and p00 are one phase index; neither file may silently win.
+        kept, copy = ideal_files / "choi_ff_p00.txt", ideal_files / "choi_ff_p0.txt"
+        save_choi(copy, ideal_choi(0.0), 0.0, 1, 0.0, feed_forward=1, success_probability=0.4)
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {copy} and {kept} both name ff phase index 0\n"
+        assert not (ideal_files / "report.csv").exists()
+
+    def test_two_state_files_of_one_phase_exit_3_naming_both(self, ideal_files, capsys):
+        kept, copy = ideal_files / "state_ff_p00_plus.txt", ideal_files / "state_ff_p0_plus.txt"
+        copy.write_bytes(kept.read_bytes())
+        assert main(["report", "--out", str(ideal_files)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {kept} and {copy} both name ff phase index 0 input state +\n"
         assert not (ideal_files / "report.csv").exists()
 
     def test_state_phase_must_match_the_choi_file(self, ideal_files, capsys):

@@ -141,6 +141,10 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="probability"):
             measure_program(joint, ProgramOutcome.MINUS)
 
+    def test_joint_state_must_have_four_amplitudes(self):
+        with pytest.raises(ValueError, match=r"^joint state must be a length-4 amplitude vector, got shape \(2,\)$"):
+            measure_program(np.array([1, 0], dtype=complex), ProgramOutcome.PLUS)
+
     def test_detector_names(self):
         assert ProgramOutcome.PLUS.value == "D_p0"
         assert ProgramOutcome.MINUS.value == "D_p1"

@@ -221,6 +221,17 @@ class TestMeritSerialization:
             read_merit_csv(path)
         assert str(exc.value) == message
 
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_merit_csv(path, self._rows())
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", rows[0], "", rows[1], ""]) + "\n")
+        assert [(r.F_chi, r.feed_forward_active) for r in read_merit_csv(path)] == [(0.98, True), (0.975, False)]
+        path.write_text(f"{header}\n\n0,0.98,0.985,0.97,0.96,0.95,1\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_merit_csv(path)
+        assert str(exc.value) == "line 3: expected 8 fields, got 7"
+
     def test_formatted_table_mentions_both_variants(self):
         text = format_merit_table(self._rows())
         assert "with feed forward" in text

@@ -161,13 +161,13 @@ class TestReconstructTable:
             assert re.search(rf"phase index {pi} stopped uncertified \(stalled\) after \d+ iterations: "
                              r"certified gap \S+ nats > 1e-06$", clause)
 
-    @pytest.mark.parametrize("noise, seed, choi_atol", [
-        (ideal_noise(pair_rate=16000.0), 1, 0.0),
-        (calibrated_noise(), 1, 0.0),
-        # ff keeps 35 outcomes and noff 34: in one batch noff's fits also sum over ff's extra outcome at weight 0.
-        (calibrated_noise(), 114, 1e-15),
+    @pytest.mark.parametrize("noise, seed", [
+        (ideal_noise(pair_rate=16000.0), 1),
+        (calibrated_noise(), 1),
+        # ff lacks one outcome and noff two, so in one batch the two analyses lack different outcomes.
+        (calibrated_noise(), 114),
     ])
-    def test_one_pass_matches_each_analysis_alone(self, noise, seed, choi_atol):
+    def test_one_pass_matches_each_analysis_alone(self, noise, seed):
         table = legacy_counts(ExperimentPlan(), noise, seed)
         for rs in pipeline.reconstruct_analyses(table, noise, [True, False]):
             alone = reconstruct_table(table, noise, rs.feed_forward)
@@ -175,14 +175,12 @@ class TestReconstructTable:
             for fit, ref in zip(rs.processes, alone.processes, strict=True):
                 assert (fit.iterations, fit.newton_iterations, fit.stop_reason, fit.likelihood_decreases) == (
                     ref.iterations, ref.newton_iterations, ref.stop_reason, ref.likelihood_decreases)
-                np.testing.assert_allclose(fit.choi, ref.choi, rtol=0.0, atol=choi_atol)
-                if not choi_atol:
-                    assert fit.choi.tobytes() == ref.choi.tobytes()
+                assert fit.choi.tobytes() == ref.choi.tobytes()
             for states, refs in zip(rs.output_states, alone.output_states, strict=True):
                 assert [s.rho.tobytes() for s in states] == [s.rho.tobytes() for s in refs]
 
     def test_legacy_dataset_114_lacks_an_outcome_only_without_feed_forward(self):
-        # The case that the tolerance of test_one_pass_matches_each_analysis_alone is for.
+        # The case of test_one_pass_matches_each_analysis_alone whose analyses lack different outcomes.
         table = legacy_counts(ExperimentPlan(), calibrated_noise(), 114)
         kept = [np.count_nonzero(tomography._outcome_counts(analyzed, slice(None))[1].any(axis=0))
                 for analyzed in (table, select_without_feedforward(table))]

@@ -185,6 +185,11 @@ class TestExplicitCases:
         with pytest.raises(DataFormatError, match="bad count"):
             ml_reconstruct_state({"Z": (bad, 1.0), "X": (1.0, 1.0), "Y": (1.0, 1.0)})
 
+    @pytest.mark.parametrize("pair", [(5.0,), (1.0, 2.0, 3.0)])
+    def test_a_basis_needs_two_outcome_counts(self, pair):
+        with pytest.raises(DataFormatError, match=f"^basis X needs exactly two outcome counts, got {len(pair)}$"):
+            ml_reconstruct_state({"Z": (1.0, 1.0), "X": pair, "Y": (1.0, 1.0)})
+
 
 def scalar_fit(basis_counts):
     """The estimator one fit at a time in Python floats, as it ran before the array entry: ``(rho, L, on_boundary)``."""
