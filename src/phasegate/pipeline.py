@@ -91,8 +91,9 @@ def reconstruct_analyses(table: CountTable, noise: NoiseConfig, variants) -> lis
     """Full tomography pass over one count table, once per analysis in ``variants`` (with feed forward or not).
 
     Without feed forward the D_p1 branch is discarded first; either way counts are efficiency-rescaled before
-    entering the likelihood.  A usable fraction above 1 raises :class:`ConfigError` before any fit.  The process
-    fits of all analyses run as one batch; the first analysis with an uncertified phase raises ConvergenceError.
+    entering the likelihood.  A usable fraction above 1 raises :class:`ConfigError` and an empty phase
+    :class:`DataFormatError`, before any fit.  The process fits of all analyses run as one batch; the first
+    analysis with an uncertified phase raises ConvergenceError.
     """
     if missing_bases := [b for b in BASIS_LABELS if b not in table.bases]:
         raise DataFormatError(f"incomplete design: missing measurement bases {missing_bases}")
@@ -101,13 +102,18 @@ def reconstruct_analyses(table: CountTable, noise: NoiseConfig, variants) -> lis
     if (most := max(success)) > 1.0:
         raise ConfigError(f"usable fraction {most:.6g} is above 1: after division by the efficiencies eta_*, "
                           "the table holds more events than pair_rate * interval_s pairs per setting and interval")
+    per_state = [state_counts(t) for t in rescaled]
+    for ff, counts in zip(variants, per_state):
+        if not (totals := counts.sum(axis=(1, 2, 3))).all():  # counts are non-negative: argmin is the first 0
+            raise DataFormatError(f"phase index {totals.argmin()} holds no counts in the analysis "
+                                  f"{'with' if ff else 'without'} feed forward; nothing to reconstruct")
     fits = ml_reconstruct_phases(*rescaled)
     for processes in fits:
         if uncertified := [f"phase index {pi} stopped uncertified ({proc.stop_reason}) after {proc.iterations} "
                            f"iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
                            for pi, proc in enumerate(processes) if not proc.converged]:
             raise ConvergenceError("process reconstruction at " + "; ".join(uncertified))
-    states = [iter(ml_reconstruct_states(state_counts(t).reshape(-1, len(BASIS_LABELS), 2))) for t in rescaled]
+    states = [iter(ml_reconstruct_states(counts.reshape(-1, len(BASIS_LABELS), 2))) for counts in per_state]
     return [ReconstructionSet(ff, table.phases, table.input_states, processes,
                               [[next(fitted) for _ in table.input_states] for _ in table.phases], fraction)
             for ff, processes, fitted, fraction in zip(variants, fits, states, success)]

@@ -22,8 +22,8 @@ off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
 2003), which has no PSD constraint left and converges quadratically.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stack, each
-fit with weight 0 on the outcomes it lacks, and judges each fit once, at its
-end; Newton steps the fits of one factor rank as one stack, in real arithmetic.
+fit with weight 0 on the outcomes it lacks, and judges each fit once, at the
+iterate it goes on from; Newton steps the fits of one factor rank as one stack, in real arithmetic.
 
 Output states need no iteration.  With one two-outcome measurement per
 Pauli basis the likelihood depends only on the Bloch vector ``r`` and
@@ -233,12 +233,12 @@ def _design(flat_operators: bytes, dim: int, trace_target: float):
     return _read_only(start), _read_only(probe.T.copy()), _read_only(grad), _read_only(forms)
 
 
-#: Values of ``ProcessReconstruction.stop_reason``; the first two set ``converged``.  ``certified``:
-#: the gap is at most GAP_TOL.  ``rounding``: the gap is within the rounding error of the certificate
-#: itself, which exceeds GAP_TOL once N is above about 7e7 events.  ``stalled``: the last Newton pass
-#: found no step that raises L or ran out of steps, or, under ``tol > 0``, an RrhoR step would lower L.
-#: No pipeline fit sets ``tol``; only under it, ``max_iters``: RrhoR took :data:`MAX_ITERS` steps, and
-#: ``step``: the change of the iterate fell below ``tol`` first, which proves nothing about the gap.
+#: Values of ``ProcessReconstruction.stop_reason``, each of the estimate a fit returns, which stops at any iterate
+#: that certifies, in the warm-up too; the first two set ``converged``.  ``certified``: the gap is at most GAP_TOL.
+#: ``rounding``: the gap is within the rounding error of the certificate itself, which exceeds GAP_TOL once N is
+#: above about 7e7 events.  ``stalled``: the last Newton pass found no step that raises L or ran out of steps, or,
+#: under ``tol > 0``, an RrhoR step would lower L.  No pipeline fit sets ``tol``; only under it, ``max_iters``:
+#: RrhoR took :data:`MAX_ITERS` steps, and ``step``: the change of the iterate fell below ``tol`` first.
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
 
 
@@ -269,12 +269,12 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        trace_target * v^H R v`` shrinks only by ``(1 - mu)^2`` per step
        (``mu`` is about 0.11 on calibrated data).  The fits step as one
        ``(k, dim, dim)`` stack that keeps every iterate, and each fit is
-       judged once, at the end: its first step that would lower ``L``
-       sends it to Newton from the iterate before, and otherwise the gap
-       at its last iterate decides between a stop and Newton.  Every fit
-       sums over all of the design's outcomes: one that a fit lacks has
-       weight 0 there and 1 added to its ``q_k``, so that it adds exactly
-       0 to ``L`` and ``R`` (not ``0 log 0``).
+       judged once, at the end, by the gap at the iterate it goes on from:
+       the one before its first step that would lower ``L``, or else the
+       last.  The fit stops there if the gap certifies, and otherwise goes
+       on to Newton.  Every fit sums over all of the design's outcomes: one
+       that a fit lacks has weight 0 there and 1 added to its ``q_k``, so
+       that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
     2. Damped Newton on a factor ``m = trace_target B B^H / |B|^2`` with
        ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of
        the iterate whose multiplier is at least half the largest one,
@@ -286,10 +286,10 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        eigenspace.  At most ``_FACTOR_STEPS`` steps.  If the pass ends
        uncertified (no damped step raises ``L``, or the steps run out) and
        the rank dropped a direction that the optimum keeps, one more pass
-       of as many steps starts again from the warm-up iterate with every
-       eigenvector kept.  The fits of one rank step as one stack, and the
-       retries as one more; each fit keeps its own damping and stop, and
-       the outcomes it lacks weigh 0 as in stage 1.
+       of as many steps starts again from the warm-up iterate and its gap
+       with every eigenvector kept.  The fits of one rank step as one stack,
+       and the retries as one more; each fit keeps its own damping and
+       stop, and the outcomes it lacks weigh 0 as in stage 1.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
@@ -297,6 +297,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     pass is cut back to the warm-up.  Each ``L`` is a sum along its fit's
     own row, and every product is one fit's, so no fit's arithmetic
     touches another's, and each fit ends bit for bit as it would alone.
+    A fit's gap is that of the iterate it stands on, so its
+    ``certified_gap`` and ``stop_reason`` describe the estimate it returns.
     ``tol > 0`` keeps the fits in RrhoR until each has lowered ``L`` or
     taken a step that changes the iterate by less than ``tol`` in max
     norm, its first such step ending it; a still stop is not certified.
@@ -336,41 +338,27 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
             ll, before = likelihood(q), ll
             ended |= still[-1] | ~(ll[:, 0] >= before[:, 0] - _DECREASE_TOL)
         iterates.append((est, q, gradient(q)))
-    # Each fit is judged once, by its first step that lowered L (or made it NaN) or stood still, else by its
-    # certificate at the last iterate.  The stack stepped on past a fit's end; those iterates are ignored.
+    # Each fit goes on from one iterate: the one before its first step that lowered L (or made it NaN), the one
+    # after its first still step, or else the last.  The iterates past a fit's end are ignored.
     lls = likelihood(np.concatenate([q for _, q, _ in iterates], axis=1))
     fell = ~(lls[:, 1:] >= lls[:, :-1] - _DECREASE_TOL)
     stops = fell | np.array(still).T if tol > 0.0 else fell
-    first, ended = stops.argmax(axis=1).tolist(), stops.any(axis=1)
-    est, q, r = iterates[-1]
-    # lambda_max of the gradient at the iterate scaled to trace_target, which is q_0 times that of r.
-    lam = (q[:, 0, -1] * np.linalg.eigvalsh(np.where(ended[:, None, None], 0.0, r))[:, -1]).tolist()
-    # Each fit is a record whose trace is a list and whose stop is None until it is settled.
-    fits, est, r = [], [], []
-    for j, i in enumerate(first):
-        if not ended[j]:
-            at, decreases, (gap, reason) = len(iterates) - 1, 0, _settled(lam[j], n_total[j], trace_target)
-        elif fell[j, i]:
-            at, decreases, gap, reason = i, 1, math.inf, None
-        else:
-            at, decreases, gap, reason = i + 1, 0, math.inf, "step"
-        m, q, g = iterates[at]
-        est.append(m[j] / q[j, 0, -1])
-        r.append(g[j] * q[j, 0, -1])
-        fits.append(ProcessReconstruction(None, at + decreases, 0.0, lls[j, : at + 1].tolist(), decreases, gap,
-                                          reason, 0))
-    est, r = np.array(est), np.array(r)
+    first, ended = stops.argmax(axis=1).tolist(), stops.any(axis=1).tolist()
+    down = [int(e and fell[j, i]) for j, (i, e) in enumerate(zip(first, ended))]
+    at = [i + 1 - d if e else len(iterates) - 1 for i, e, d in zip(first, ended, down)]
+    m, q, g = (np.array([iterates[i][n][j] for j, i in enumerate(at)]) for n in range(3))
+    # lambda_max of the gradient at the iterate scaled to trace_target, which is q_0 times that of g.
+    lam, est, r = (q[:, 0, -1] * np.linalg.eigvalsh(g)[:, -1]).tolist(), m / q[:, :, -1:], g * q[:, :, -1:]
+    # A fit's trace is a list and its stop None until it is settled, or until it ends as Newton or RrhoR left it.
+    fits = [ProcessReconstruction(None, i + d, 0.0, lls[j, : i + 1].tolist(), d, *_settled(lam[j], n, trace_target), 0)
+            for j, (i, d, n) in enumerate(zip(at, down, n_total))]
     if tol <= 0.0 and (go := [j for j, fit in enumerate(fits) if fit.stop_reason is None]):
         _newton(fits, go, est, r, forms, e_grad[:-1], weights, empty, n_total, trace_target)
-    for fit, m, n in zip(fits, est, n_total):
+    for fit, m, n, d, e in zip(fits, est, n_total, down, ended):
         fit.choi, fit.iterations = 0.5 * (m + m.conj().T), fit.iterations + fit.newton_iterations
         fit.log_likelihood_trace = np.asarray(fit.log_likelihood_trace)
         fit.log_likelihood = float(n * fit.log_likelihood_trace[-1])
-    unsettled = [j for j, fit in enumerate(fits) if fit.stop_reason in (None, "step")]
-    for j, lam in zip(unsettled, np.linalg.eigvalsh(r[unsettled])[:, -1].tolist() if unsettled else ()):
-        fit = fits[j]
-        fit.certified_gap, reason = _settled(lam, n_total[j], trace_target)
-        fit.stop_reason = reason or fit.stop_reason or ("max_iters" if fit.iterations >= MAX_ITERS else "stalled")
+        fit.stop_reason = fit.stop_reason or ("stalled" if d or tol <= 0.0 else "step" if e else "max_iters")
     return fits
 
 
@@ -379,8 +367,8 @@ def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_tar
 
     The fits of one factor rank step as one stack, and the full-rank retries as one more.
     """
-    dim, warm = est.shape[-1], (est[go], r[go], [len(fits[j].log_likelihood_trace) for j in go])
-    w, v = np.linalg.eigh(warm[0])
+    warm = est[go], r[go], [(len(fits[j].log_likelihood_trace), fits[j].certified_gap) for j in go]
+    (w, v), dim = np.linalg.eigh(warm[0]), est.shape[-1]
     multipliers = 1.0 - trace_target * (v.conj() * (warm[1] @ v)).sum(axis=1).real
     columns = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).mT  # row i: column i of B
     # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
@@ -390,12 +378,13 @@ def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_tar
         c = columns[np.array([row if k == rank else [False] * dim for row, k in zip(kept, ranks)])]
         _factor_pass(fits, [j for j, k in zip(go, ranks) if k == rank], c.reshape(-1, rank, dim), est, r, forms,
                      e_build, weights, empty, n_total, trace_target)
-    # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate.
+    # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate and its gap.
     if retry := [i for i, (j, k) in enumerate(zip(go, ranks)) if k < dim and fits[j].stop_reason is None]:
         ids = [go[i] for i in retry]
         est[ids], r[ids] = warm[0][retry], warm[1][retry]
         for i, j in zip(retry, ids):
-            del fits[j].log_likelihood_trace[warm[2][i]:]
+            steps, fits[j].certified_gap = warm[2][i]
+            del fits[j].log_likelihood_trace[steps:]
         _factor_pass(fits, ids, np.ascontiguousarray(columns[retry]), est, r, forms, e_build, weights, empty,
                      n_total, trace_target)
 
@@ -656,9 +645,13 @@ def settings_for_phase(counts_table, phase_index: int):
 
 
 def _outcome_counts(counts_table, phases):
-    """(state, outcome) labels in (state, basis, data detector) order, and a count row in that order per phase."""
-    labels = [(s, o) for s in counts_table.input_states for b in counts_table.bases for o in BASIS_OUTCOMES[b]]
-    return labels, counts_table.counts[phases].sum(axis=(-3, -1)).reshape(-1, len(labels))
+    """(state, outcome) labels in (state, basis, data detector) order, states and bases in canonical order, and a
+    count row in that order per phase: the order in which a table lists its labels does not change a fit."""
+    t = counts_table
+    states, bases = sorted(t.input_states, key=STATE_LABELS.index), sorted(t.bases, key=BASIS_LABELS.index)
+    labels = [(s, o) for s in states for b in bases for o in BASIS_OUTCOMES[b]]
+    summed = np.take(t.counts[phases].sum(axis=(-3, -1)), list(map(t.input_states.index, states)), axis=-3)
+    return labels, np.take(summed, list(map(t.bases.index, bases)), axis=-2).reshape(-1, len(labels))
 
 
 def state_basis_counts(counts_table, phase_index: int, state_index: int):
@@ -669,7 +662,7 @@ def state_basis_counts(counts_table, phase_index: int, state_index: int):
 def state_counts(counts_table, index=()) -> np.ndarray:
     """Counts per basis (Z X Y) and data detector of the (phase, state) rows that ``counts[index]`` picks."""
     bases = [counts_table.bases.index(b) for b in BASIS_LABELS]
-    return counts_table.counts[index].sum(axis=-1).sum(axis=-2)[..., bases, :]
+    return counts_table.counts[index].sum(axis=(-3, -1))[..., bases, :]
 
 
 def save_choi(path, chi, phase: float, iterations: int, log_likelihood: float, **extra) -> None:

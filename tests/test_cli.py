@@ -12,6 +12,7 @@ from phasegate.config import RunConfig, load_run_config, run_config_from_dict
 from phasegate.errors import ConfigError
 from phasegate.experiment import (
     DEFAULT_PHASES,
+    CountTable,
     ExperimentPlan,
     calibrated_noise,
     ideal_noise,
@@ -379,6 +380,35 @@ class TestCli:
         assert main(["reconstruct", str(out / "counts.csv"), "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: pair_rate and interval_s must be positive")
         assert [p.name for p in out.iterdir()] == ["counts.csv"]
+
+    def test_reconstruct_does_not_depend_on_the_order_of_the_labels(self, tmp_path):
+        # The same records with the + and Y rows first list the states and bases in another order.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--seed", "3", "--out", str(a)]) == EXIT_OK
+        header, *records = (a / "counts.csv").read_text().splitlines()
+        b.mkdir()
+        resorted = sorted(records, key=lambda line: (line.split(",")[1] != "+", line.split(",")[2] != "Y"))
+        (b / "counts.csv").write_text("\n".join([header, *resorted]) + "\n")
+        table = CountTable.from_csv(b / "counts.csv")
+        assert (table.input_states[0], table.bases[0]) == ("+", "Y")
+        for out in (a, b):
+            for flags in ([], ["--no-feed-forward"]):
+                assert main(["reconstruct", str(out / "counts.csv"), "--out", str(out), *flags]) == EXIT_OK
+        names = sorted(path.name for path in a.iterdir() if path.name != "counts.csv")
+        assert names == sorted(path.name for path in b.iterdir() if path.name != "counts.csv") and len(names) == 98
+        assert [name for name in names if (a / name).read_bytes() != (b / name).read_bytes()] == []
+
+    def test_reconstruct_names_a_phase_with_no_counts(self, tmp_path, capsys):
+        # Phase index 2 has no D_p0 records: it holds counts with feed forward, and none without.
+        table = simulate_counts(ExperimentPlan(), ideal_noise(), 3)
+        table.counts[2, :, :, 0] = 0.0
+        table.to_csv(path := tmp_path / "counts.csv")
+        out = tmp_path / "out"
+        assert main(["reconstruct", str(path), "--out", str(out), "--no-feed-forward"]) == EXIT_DATA
+        assert capsys.readouterr().err == ("data error: phase index 2 holds no counts in the analysis without feed "
+                                           "forward; nothing to reconstruct\n")
+        assert not out.exists()
+        assert main(["reconstruct", str(path), "--out", str(out)]) == EXIT_OK
 
     def test_uncertified_fit_exits_4(self, small_config, tmp_path, capsys, monkeypatch):
         # One Newton step per pass leaves the fit uncertified.

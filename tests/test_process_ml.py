@@ -1,5 +1,6 @@
 """Process ML: certified stop, monotone trace and PSD output on random count tables; step counts on simulated data."""
 
+import collections
 import copy
 
 import numpy as np
@@ -334,9 +335,53 @@ def test_table_batch_matches_fits_per_phase():
 
 
 def test_tables_of_one_batch_must_list_the_same_states_and_bases():
-    # The batch shares one design, so a table that stores its bases in another order is refused.
+    # The batch shares one design in canonical label order: a table that stores its bases in another order fits
+    # bit for bit as the canonical one, and a table with another set of bases is refused.
     table = simulate_counts(ExperimentPlan(phases=(0.0,)), ideal_noise(pair_rate=2000.0, n_intervals=1), 9)
     stored = CountTable(table.phases, table.input_states, ("X", "Y", "Z"), table.counts[:, :, [1, 2, 0]])
-    assert len(tomography.ml_reconstruct_phases(table, table)) == 2
+    (fit,), (reordered,) = tomography.ml_reconstruct_phases(table, stored)
+    assert_same_fit(reordered, fit)
+    fewer = CountTable(table.phases, table.input_states, ("Z", "X"), table.counts[:, :, :2])
     with pytest.raises(DataFormatError, match="same input states and bases"):
-        tomography.ml_reconstruct_phases(table, stored)
+        tomography.ml_reconstruct_phases(table, fewer)
+
+
+def assert_gap_of_the_estimate(fit, row):
+    # The fit's gap is the certificate of its choi, up to the certificate's own rounding.
+    assert abs(fit.certified_gap - certified_gap(fit.choi, row)) <= tomography._ROUNDING_RTOL * (
+        row.sum() + fit.certified_gap)
+
+
+def test_every_fit_reports_the_gap_of_the_estimate_it_returns(monkeypatch, dataset_phases):
+    # Each stop's certified_gap is the certificate of the returned choi: warm-up and Newton stops, stalled fits
+    # (one Newton step per pass), still steps under tol, and full-rank retries, which start again from the warm-up
+    # iterate and its gap.
+    passes, factor_pass = collections.Counter(), tomography._factor_pass
+    monkeypatch.setattr(tomography, "_factor_pass", lambda fits, ids, c, *rest: (
+        passes.update(id(fits[j]) for j in ids), factor_pass(fits, ids, c, *rest)))
+    examples = np.array([ONE_STEP, LINEAR_RATE, FULL_RANK_RETRY, two_peaks(0, 10), DEPOLARIZING, LATE_OVERSHOOT,
+                         *NOISY_GATES])
+    calibrated = np.array([[s.count for s in phase] for phase in dataset_phases["calibrated", 1]])
+    runs = [(examples, 0.0), (calibrated, 3e-9)]
+    fitted = [(tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0, tol), rows) for rows, tol in runs]
+    monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+    fitted.append((tomography._ml_fixed_point(OPERATORS, calibrated, 4, 2.0), calibrated))
+    pairs = [(fit, row) for fits, rows in fitted for fit, row in zip(fits, rows)]
+    assert {fit.stop_reason for fit, _ in pairs} == {"certified", "stalled", "step"}
+    assert {fit.stop_reason for fit, _ in pairs if passes[id(fit)] == 2} == {"certified", "stalled"}  # retried
+    for fit, row in pairs:
+        assert_gap_of_the_estimate(fit, row)
+
+
+def test_a_retry_that_takes_no_step_returns_the_warmup_iterate_and_its_gap(monkeypatch, dataset_phases):
+    # One Newton step per pass: the rank-2 pass takes a step and ends uncertified, and with the full-rank retry
+    # skipped the fit ends stalled on the warm-up iterate, which carries its own gap.
+    monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+    passes, factor_pass = [], tomography._factor_pass
+    monkeypatch.setattr(tomography, "_factor_pass", lambda fits, ids, *rest: (
+        passes.append(ids), None if len(passes) > 1 else factor_pass(fits, ids, *rest)))
+    row = np.array([s.count for s in dataset_phases["calibrated", 1][0]])
+    fit, = tomography._ml_fixed_point(OPERATORS, row[None], 4, 2.0)
+    assert len(passes) == 2 and fit.stop_reason == "stalled"
+    assert len(fit.log_likelihood_trace) == warmup_steps(fit) + 1  # the step of the rank-2 pass was cut back
+    assert_gap_of_the_estimate(fit, row)
