@@ -19,7 +19,8 @@ gap is at most :data:`GAP_TOL`.  Two monotone stages climb ``L``
 finds the support of the optimum fast but then converges only linearly,
 and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
 off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
-2003), which has no PSD constraint left and converges quadratically.
+2003), which has no PSD constraint left and converges quadratically; each
+step is a gauge-fixed Cholesky solve, ``eigh`` only where that fails.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stack, each
 fit with weight 0 on the outcomes it lacks, and judges each fit once, at the
@@ -66,7 +67,7 @@ _DECREASE_TOL = 1e-14
 # RrhoR steps of the warm-up, after which each fit is judged once, and the Newton steps of each pass.
 _WARMUP_STEPS = 32
 _FACTOR_STEPS = 24
-# Hessian eigenvalues above this fraction of the largest |eigenvalue| below zero count as flat.
+# Where the gauge-fixed solve fails, Hessian eigenvalues above this fraction of the largest |negative one| are flat.
 _CURVATURE_RTOL = 1e-10
 # Newton halves a step that lowers L down to this fraction of it.
 _MIN_DAMPING = 2.0**-30
@@ -282,8 +283,8 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        factor carries no PSD constraint, so Newton converges quadratically
        to the rank-limited maximum, which is the maximum when the rank is
        right.  ``L`` does not change under ``B -> c B U`` for unitary
-       ``U``, so the Hessian is inverted only on its negative-curvature
-       eigenspace.  At most ``_FACTOR_STEPS`` steps.  If the pass ends
+       ``U``, so each step is a gauge-fixed Cholesky solve, ``eigh`` only
+       where that fails.  At most ``_FACTOR_STEPS`` steps.  If the pass ends
        uncertified (no damped step raises ``L``, or the steps run out) and
        the rank dropped a direction that the optimum keeps, one more pass
        of as many steps starts again from the warm-up iterate and its gap
@@ -389,6 +390,32 @@ def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_tar
                      n_total, trace_target)
 
 
+@functools.cache
+def _gauge(rank: int, dim: int) -> np.ndarray:
+    """The real ``(n, (rank^2 + 1) n)`` stack, n = 2 rank dim, that takes the float view x of C = B^T to L's flat
+    directions: the float views of i K C for the rank^2 Hermitian E_jm + E_mj (j <= m) and i (E_jm - E_mj), and x."""
+    e, upper = np.eye(rank * rank).reshape(-1, rank, rank), np.triu(np.ones((rank, rank), bool)).reshape(-1, 1, 1)
+    a = np.concatenate([1j * np.where(upper, e + e.mT, 1j * (e - e.mT)), np.eye(rank)[None]])
+    real = np.array([[a.real, -a.imag], [a.imag, a.real]])  # [re/im out, re/im in, generator, row, column]
+    return _read_only(np.einsum("stajm,kl->mktajls", real, np.eye(dim)).reshape(2 * rank * dim, -1))
+
+
+def _newton_step(x, grad, hess, gauge):
+    """Newton steps ``m^-1 grad`` of a stack of factors x, ``m`` being ``-hess`` plus the Gram matrix of the flat
+    directions of :func:`_gauge` at the mean curvature, once Cholesky proves it positive definite; else by halves."""
+    g = (x[:, None] @ gauge).reshape(len(x), -1, x.shape[1])
+    m = g.mT @ g * (np.diagonal(hess, 0, 1, 2).mean(axis=1) / -(x * x).sum(axis=1))[:, None, None] - hess
+    try:
+        np.linalg.cholesky(m)
+        return np.linalg.solve(m, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if mid := len(x) // 2:  # halve the stack until each fit whose m fails stands alone
+            return np.concatenate([_newton_step(x[s], grad[s], hess[s], gauge) for s in (slice(mid), slice(mid, None))])
+    curv, basis = np.linalg.eigh(hess)  # m fails: the Hessian inverted only on its negative-curvature eigenspace
+    neg = curv < -_CURVATURE_RTOL * abs(curv).max(axis=1, keepdims=True)
+    return (np.where(neg, (grad[:, None] @ basis)[:, 0] / -curv, 0.0)[:, None] @ basis.mT)[:, 0]
+
+
 def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, trace_target):
     """At most ``_FACTOR_STEPS`` damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``.
 
@@ -413,10 +440,8 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
         # The Hessian: 2 sum_k (f_k / q_k) M_k - 4 sum_k (f_k / q_k^2) (M_k x)(M_k x)^T, where M_k applies
         # forms[k] to each column of B, so that its first term is block diagonal.
         hess = (block_diagonal * a[:, None, :, None, :]).reshape(-1, n, n) - (jac.mT * (4.0 * fq / q)) @ jac
-        curv, basis = np.linalg.eigh(hess)
-        # L does not change under B -> c B U, so the Hessian is inverted only on its negative curvature.
-        neg = curv < -_CURVATURE_RTOL * abs(curv).max(axis=1, keepdims=True)
-        step = (np.where(neg, (grad[:, None] @ basis)[:, 0] / -curv, 0.0)[:, None] @ basis.mT)[:, 0]
+        # L is flat along B -> c B U: a gauge-fixed Cholesky solve, eigh only where that fails.
+        step = _newton_step(x, grad, hess, _gauge(rank, dim))
         # Each fit halves its own step until L does not fall; the others repeat theirs, which changes nothing.
         alpha = np.ones((len(ids), 1))
         while True:

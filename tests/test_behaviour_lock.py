@@ -17,6 +17,9 @@ every artefact is written and compared against recorded values:
 * ``STREAM_PINS`` runs ``run_pipeline`` end to end, so it also pins the
   simulator's one-generator stream.  Its pins were recorded when that
   stream replaced the per-setting one.
+* Both sets' iteration and Newton-split pins were re-pinned when the
+  Newton step became a gauge-fixed Cholesky solve: five fits took one
+  step fewer or damped one step fewer, and no other pin moved.
 
 Tolerances, and why:
 
@@ -63,8 +66,8 @@ PINS = {
     "ideal16k": (
         ideal_noise(pair_rate=16000),
         "175fb21511ee7509f95e406f11272ef4541ca8d4083552fd238809723d00ceb9",
-        ((33, 41, 42, 33, 41, 44, 33), (33, 41, 41, 33, 45, 39, 33)),
-        (((1, 0), (9, 0), (10, 0), (1, 0), (9, 0), (12, 0), (1, 0)),
+        ((33, 41, 42, 33, 41, 43, 33), (33, 41, 41, 33, 45, 39, 33)),
+        (((1, 0), (9, 0), (10, 0), (1, 0), (9, 0), (11, 0), (1, 0)),
          ((1, 0), (9, 0), (9, 0), (1, 0), (13, 0), (7, 0), (1, 0))),
         """\
 0,0.999999534,0.999999151,0.99999782,1,1,1,0.500024705
@@ -88,7 +91,7 @@ PINS = {
         "7c4bf799881d8aec871f3077b4df0a707e74b2ec31a64ff6d9dbefcbe3ce1e5b",
         ((34, 34, 34, 34, 34, 40, 34), (34, 34, 34, 34, 34, 41, 34)),
         (((2, 0), (2, 0), (2, 0), (2, 0), (2, 0), (8, 0), (2, 0)),
-         ((2, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 1), (2, 0))),
+         ((2, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 0), (2, 0))),
         """\
 0,0.974463549,0.982947509,0.971986497,0.966963984,0.945661619,1,0.500292098
 0.523598775598,0.974371982,0.982947673,0.965759755,0.966866734,0.93396809,1,0.500292098
@@ -137,9 +140,9 @@ STREAM_PINS = {
     "stream-calibrated": (
         calibrated_noise(),
         "69137b2c78e4d5ff32129d8fe4418064a87f0a24f231d5febd3d597552e3481e",
-        ((40, 34, 34, 34, 34, 36, 34), (38, 34, 34, 34, 34, 41, 34)),
-        (((8, 1), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0), (2, 0)),
-         ((6, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 1), (2, 0))),
+        ((39, 34, 34, 34, 34, 36, 34), (38, 34, 34, 34, 34, 41, 34)),
+        (((7, 0), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0), (2, 0)),
+         ((6, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 0), (2, 0))),
         """\
 0,0.973657899,0.982452099,0.972344829,0.965982486,0.946387557,1,0.499972889
 0.523598775598,0.974142497,0.982747401,0.970942295,0.966574815,0.943576521,1,0.499972889

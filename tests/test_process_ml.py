@@ -137,6 +137,14 @@ def pipeline_row(noise, seed, feed_forward, phase_index):
     return np.array([s.count for s in settings_for_phase(rescale_efficiencies(analyzed, noise), phase_index)])
 
 
+def stream_rows(noise, seed):
+    """The count rows, in the order of OPERATORS, of every phase with and then without feed forward of a dataset of
+    the pipeline's stream, as ``reconstruct_analyses`` fits them in one batch."""
+    table = simulate_counts(ExperimentPlan(), noise, seed)
+    return np.concatenate([tomography._outcome_counts(rescale_efficiencies(analyzed, noise), slice(None))[1]
+                           for analyzed in (table, select_without_feedforward(table))])
+
+
 # Newton on these rows: one step at factor rank 1; 13 steps at rank 2, at a linear rate (an optimal eigenvalue
 # of 1.1e-5); a rank-2 pass left uncertified and retried at full rank.  The first two lack some outcomes.
 ONE_STEP = pipeline_row(ideal_noise(pair_rate=16000.0), 1, True, 0)
@@ -303,11 +311,8 @@ def test_a_stack_steps_each_fit_bit_for_bit_as_a_stack_of_one(monkeypatch, datas
     rows = np.array([[s.count for s in phase] for phase in dataset_phases["calibrated", 103]])
     tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0)
     assert sorted(set(replayed)) == list(range(len(rows))) and len(replayed) > len(rows)  # with full-rank retries
-    noise = calibrated_noise()
     for seed in (3, 103):
-        table = simulate_counts(ExperimentPlan(), noise, seed)
-        rows = np.concatenate([tomography._outcome_counts(rescale_efficiencies(analyzed, noise), slice(None))[1]
-                               for analyzed in (table, select_without_feedforward(table))])
+        rows = stream_rows(calibrated_noise(), seed)
         replayed.clear()
         tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0)
         assert sorted(set(replayed)) == list(range(len(rows)))
@@ -385,3 +390,114 @@ def test_a_retry_that_takes_no_step_returns_the_warmup_iterate_and_its_gap(monke
     assert len(passes) == 2 and fit.stop_reason == "stalled"
     assert len(fit.log_likelihood_trace) == warmup_steps(fit) + 1  # the step of the rank-2 pass was cut back
     assert_gap_of_the_estimate(fit, row)
+
+
+def gauge_directions(x):
+    return (x[:, None] @ tomography._gauge(x.shape[1] // 8, 4)).reshape(len(x), -1, x.shape[1])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_the_gradient_is_flat_along_every_gauge_direction(monkeypatch, rank):
+    # L does not change under B -> c B U, so at any factor and for any counts the gradient is orthogonal to the
+    # rank^2 + 1 directions i K C (K Hermitian) and x that the Newton step fixes.
+    rng = np.random.default_rng(rank)
+    newton, steps, factor_pass = [], [], tomography._factor_pass
+    monkeypatch.setattr(tomography, "_factor_pass", lambda *args: newton.append(args))
+    tomography._ml_fixed_point(OPERATORS, rng.integers(0, 300, (3, 36)).astype(float), 4, 2.0)
+    fits, ids, _, est, r, *design = newton[0]
+    monkeypatch.setattr(tomography, "_FACTOR_STEPS", 1)
+    monkeypatch.setattr(tomography, "_newton_step", lambda x, grad, *rest: steps.append((x, grad)) or 0.0 * grad)
+    factor_pass(fits, ids, rng.normal(size=(len(ids), rank, 4)) + 1j * rng.normal(size=(len(ids), rank, 4)), est, r,
+                *design)
+    (x, grad), = steps
+    g = gauge_directions(x)
+    assert g.shape == (len(ids), rank * rank + 1, 8 * rank)
+    np.testing.assert_array_less(np.abs((g @ grad[:, :, None])[..., 0]),
+                                 1e-13 * np.linalg.norm(g, axis=2) * np.linalg.norm(grad, axis=1)[:, None])
+
+
+def fail_cholesky(m):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def test_the_gauge_fixed_step_is_the_eigh_step_at_a_well_conditioned_optimum(monkeypatch):
+    # At a certified optimum whose factor has the rank of the optimum (rank 1 on ideal16k, rank 2 on calibrated
+    # data), the Hessian is flat exactly along the gauge directions, and on every gradient, which is orthogonal to
+    # them, the solve with their Gram term added gives the step that inverts the Hessian on its negative curvature.
+    rng = np.random.default_rng(0)
+    newton_step, settled = tomography._newton_step, tomography._settled
+    compared = 0
+    for noise in (ideal_noise(pair_rate=16000.0), calibrated_noise()):
+        for row in stream_rows(noise, 1):
+            fit, = tomography._ml_fixed_point(OPERATORS, row[None], 4, 2.0)
+            if fit.newton_iterations not in (1, 2):
+                continue
+            # Refit with no stop: the step after the last one that the fit took is at its certified optimum.
+            steps = []
+            with monkeypatch.context() as patch:
+                patch.setattr(tomography, "_settled", lambda lam, n, target: (settled(lam, n, target)[0], None))
+                patch.setattr(tomography, "_newton_step", lambda *args: steps.append(args) or newton_step(*args))
+                tomography._ml_fixed_point(OPERATORS, row[None], 4, 2.0)
+            x, _, hess, gauge = steps[fit.newton_iterations]
+            assert x.shape[1] == 8 * fit.newton_iterations  # rank 1 after one step, rank 2 after two
+            q = np.linalg.qr(gauge_directions(x)[0].T)[0]
+            grad = rng.normal(size=x.shape)
+            grad -= grad @ q @ q.T
+            new = newton_step(x, grad, hess, gauge)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", fail_cholesky)
+                old = newton_step(x, grad, hess, gauge)
+            assert np.linalg.norm(new - old) <= 1e-8 * np.linalg.norm(old)
+            compared += 1
+    assert compared >= 14
+
+
+def test_a_fit_whose_solve_fails_cholesky_alone_takes_the_eigh_step(monkeypatch):
+    # On the calibrated lock dataset one Newton stack holds a fit whose gauge-fixed matrix is not positive definite
+    # beside fits whose matrix is: that stack steps again by halves, the one fit takes the eigh step alone, no
+    # LinAlgError leaves the fit, and each fit ends bit for bit as it would alone.
+    rows = stream_rows(calibrated_noise(), 1)
+    tries, cholesky = [], np.linalg.cholesky
+
+    def spy(m):
+        tries.append([len(m), False])
+        cholesky(m)
+        tries[-1][1] = True
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    fits = tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0)
+    monkeypatch.undo()
+    failed = [k for k, ok in tries if not ok]
+    assert 1 in failed and max(failed) > failed.count(1)  # the largest failing stack holds fits that solve
+    for fit, alone in zip(fits, fits_alone(rows)):
+        assert fit.stop_reason == "certified"
+        assert_same_fit(fit, alone)
+
+
+def test_with_every_cholesky_failing_each_fit_takes_the_eigh_step(monkeypatch):
+    # The fallback is the step of a Hessian inverted on its negative curvature alone: with every Cholesky failing,
+    # the stream-calibrated lock fits at feed forward phase index 0 and without it at 5 take the Newton steps and
+    # damped steps (8, 1) and (9, 1) of that step, where the solve takes (7, 0) and (9, 0).
+    rows = stream_rows(calibrated_noise(), 1)
+    monkeypatch.setattr(np.linalg, "cholesky", fail_cholesky)
+    fits = tomography._ml_fixed_point(OPERATORS, rows, 4, 2.0)
+    assert [(fits[j].newton_iterations, fits[j].likelihood_decreases) for j in (0, 12)] == [(8, 1), (9, 1)]
+    for fit, alone in zip(fits, fits_alone(rows)):
+        assert fit.stop_reason == "certified"
+        assert_same_fit(fit, alone)
+
+
+def test_the_lock_fits_solve_every_newton_step(monkeypatch):
+    # The only eigh of the ideal16k lock dataset's fits is the rank read in _newton: no Newton step falls back.
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    fits = tomography._ml_fixed_point(OPERATORS, stream_rows(ideal_noise(pair_rate=16000.0), 1), 4, 2.0)
+    assert sum(fit.newton_iterations for fit in fits) > len(fits)
+    assert calls == [(len(fits), 4, 4)]
+
+
+@pytest.mark.parametrize("noise", [ideal_noise(pair_rate=16000.0), calibrated_noise()], ids=["ideal16k", "calibrated"])
+def test_every_fit_of_forty_datasets_certifies(noise):
+    for seed in range(1, 41):
+        for fit in tomography._ml_fixed_point(OPERATORS, stream_rows(noise, seed), 4, 2.0):
+            assert fit.stop_reason == "certified" and fit.certified_gap <= GAP_TOL
