@@ -22,6 +22,8 @@ import os
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import RunConfig
 from .errors import ConfigError, ConvergenceError, DataFormatError
 from .experiment import (
@@ -92,8 +94,8 @@ def reconstruct_analyses(table: CountTable, noise: NoiseConfig, variants) -> lis
 
     Without feed forward the D_p1 branch is discarded first; either way counts are efficiency-rescaled before
     entering the likelihood.  A usable fraction above 1 raises :class:`ConfigError` and an empty phase
-    :class:`DataFormatError`, before any fit.  The process fits of all analyses run as one batch; the first
-    analysis with an uncertified phase raises ConvergenceError.
+    :class:`DataFormatError`, before any fit.  The process fits of all analyses run as one batch, and so do their
+    state fits; the first analysis with an uncertified phase raises ConvergenceError.
     """
     if missing_bases := [b for b in BASIS_LABELS if b not in table.bases]:
         raise DataFormatError(f"incomplete design: missing measurement bases {missing_bases}")
@@ -113,10 +115,10 @@ def reconstruct_analyses(table: CountTable, noise: NoiseConfig, variants) -> lis
                            f"iterations: certified gap {proc.certified_gap:.3g} nats > {GAP_TOL:g}"
                            for pi, proc in enumerate(processes) if not proc.converged]:
             raise ConvergenceError("process reconstruction at " + "; ".join(uncertified))
-    states = [iter(ml_reconstruct_states(counts.reshape(-1, len(BASIS_LABELS), 2))) for counts in per_state]
+    fitted = iter(ml_reconstruct_states(np.concatenate(per_state).reshape(-1, len(BASIS_LABELS), 2)))
     return [ReconstructionSet(ff, table.phases, table.input_states, processes,
                               [[next(fitted) for _ in table.input_states] for _ in table.phases], fraction)
-            for ff, processes, fitted, fraction in zip(variants, fits, states, success)]
+            for ff, processes, fraction in zip(variants, fits, success)]
 
 
 def reports_from_reconstruction(rs: ReconstructionSet) -> list[MeritReport]:

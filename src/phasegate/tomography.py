@@ -26,11 +26,13 @@ the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stac
 fit with weight 0 on the outcomes it lacks, and judges each fit once, at the
 iterate it goes on from; Newton steps the fits of one factor rank as one stack, in real arithmetic.
 
-Output states need no iteration.  With one two-outcome measurement per
-Pauli basis the likelihood depends only on the Bloch vector ``r`` and
+Output states need no likelihood iteration.  With one two-outcome measurement
+per Pauli basis the likelihood depends only on the Bloch vector ``r`` and
 splits into one term per basis, so its maximum over the Bloch ball is
 the linear-inversion point when that lies inside the ball, and
-otherwise a point on the sphere fixed by one Lagrange multiplier
+otherwise a point on the sphere fixed by one Lagrange multiplier: each
+basis's component is a closed-form cubic root in the multiplier, and one
+safeguarded Newton finds the multiplier of every row of a stack at once
 (:func:`ml_reconstruct_state`; :func:`ml_reconstruct_states` for a stack).
 
 Matrices are plain ``np.ndarray`` values.  A two-qubit index is the
@@ -206,7 +208,7 @@ class StateReconstruction:
     log_likelihood: float
     #: The estimate is pure (|r| = 1): it sits on the PSD boundary.
     on_boundary: bool
-    # The solve is exact; these constants mirror ProcessReconstruction's diagnostics.
+    # The solve ends at rounding or raises; these constants mirror ProcessReconstruction's diagnostics.
     iterations: ClassVar[int] = 0
     converged: ClassVar[bool] = True
     likelihood_decreases: ClassVar[int] = 0
@@ -504,94 +506,98 @@ def ml_reconstruct_phases(*counts_tables) -> list[list[ProcessReconstruction]]:
     return [[next(fits) for _ in counts] for _, counts in rows]
 
 
-#: Newton steps stop once they move the unknown by less than this, relative to it.
+#: The sphere solve's Newton steps stop once they move the multiplier by less than this, relative to it.
 _NEWTON_RTOL = 1e-15
 _NEWTON_MAX_STEPS = 500
+# psi is taken as 0 once |1 - |r|^2| is below its rounding error, this many ulps of the smallest s.
+_PSI_ULPS = 16.0 * float(np.finfo(float).eps)
 
 
-def _increasing_root(f, lo: float, hi: float, x: float) -> float:
-    """Root of an increasing function with ``f(lo) <= 0 <= f(hi)``, ``0 <= lo <= x < hi``.
+@np.errstate(divide="ignore", invalid="ignore")
+def _bloch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(r, s = 1 - |r|)`` per basis of the ML state of each row of a ``(k, 3, 2)`` count stack, and ``|r|^2`` of
+    its linear-inversion point ``r_b = (a_b - c_b)/(a_b + c_b)`` (0 if unmeasured).
 
-    ``f(x)`` returns ``(value, slope)``.  Safeguarded Newton: a step that
-    leaves the bracket is replaced by bisection in ``log x``, so a root
-    many decades below ``hi`` takes few steps.  Returns the last point
-    evaluated, once a step is below rounding or the bracket has closed.
+    A row outside the ball goes to the sphere.  At multiplier ``mu > 0`` a basis's ``r`` is the root in [-1, 1] of
+    ``a/(1+r) - c/(1-r) - 2 mu r``, with the sign of ``a - c``.  With ``big``, ``small`` the larger and smaller
+    count, ``s`` is the root in (0, 1] of ``big s - small (2-s) - 2 mu s (2-s) (1-s)``: in ``t = s - 1`` the middle
+    root of ``t^3 - P t + Q``, ``P = 1 + n/(2 mu)``, ``Q = (small - big)/(2 mu)``.  The largest root ``t0`` comes
+    from the trigonometric form and one Newton polish of the cubic in ``t0 - 2``, which is near 0 where the basis
+    nears its pole.  The quotient by ``t - t0`` then gives ``|r|`` far from the pole and ``s`` near it, each
+    without cancellation; an empty outcome gives ``s = max(0, 2 - t0)``, the pole for ``mu <= n/4``.
+
+    ``mu`` is the root of ``psi(mu) = 1/|r(mu)| - 1``, which increases and is close to linear: ``psi < 0`` as
+    ``mu -> 0``, ``psi > 0`` at ``mu = max count``, and the root lies above ``n_b/4`` for every basis with an empty
+    outcome.  ``1 - |r|^2`` takes ``s (2 - s)`` for the basis nearest its pole, so ``psi`` keeps the precision of
+    its ``s``.  One safeguarded Newton runs over every row outside the ball, bisecting in ``log mu`` for a step
+    that leaves the row's bracket.  A row stops once its step is below :data:`_NEWTON_RTOL`, ``psi`` is below its
+    rounding error or its bracket has closed, and takes the first-order change of its last step.  Every
+    operation is row-local, so a row ends bit for bit as it would alone.
     """
-    for _ in range(_NEWTON_MAX_STEPS):
-        value, slope = f(x)
-        if value < 0.0:
-            lo = x
-        elif value > 0.0:
-            hi = x
-        else:
-            return x
-        nxt = x - value / slope if slope > 0.0 else math.inf
-        if abs(nxt - x) <= _NEWTON_RTOL * x:
-            return x
-        if not lo < nxt < hi:
-            nxt = max(math.sqrt(lo) * math.sqrt(hi), 1e-3 * hi)
-            if not lo < nxt < hi:
-                return x  # the bracket has closed to neighbouring floats
-        x = nxt
-    raise ConvergenceError(f"root not bracketed to {_NEWTON_RTOL:g} in {_NEWTON_MAX_STEPS} Newton steps")
-
-
-def _basis_component(a: float, c: float, mu: float) -> tuple[float, float, float]:
-    """One basis's Bloch component at multiplier ``mu > 0``.
-
-    With outcome counts ``(a, c)`` and ``p = (1 +- r)/2`` the component is
-    the root in [-1, 1] of ``h(r) = a/(1+r) - c/(1-r) - 2 mu r``, which is
-    strictly decreasing, so ``r`` has the sign of ``a - c``.  It is solved
-    for ``s = 1 - |r|``, which keeps its precision as ``r`` nears a pole.
-    Returns ``(r, s, dr/dmu)``.
-    """
-    n = a + c
-    if n == 0.0:
-        return 0.0, 1.0, 0.0
-    sign = 1.0 if a >= c else -1.0
-    big, small = max(a, c), min(a, c)
-    if small == 0.0:
-        # No pole on the empty side: s solves 2 mu s^2 - 6 mu s + 4 mu - n = 0.  The sphere solve keeps
-        # mu >= n/4, so x <= 4, and x = 4 gives s = 0, the pole (its slope there is the one from above).
-        x = n / mu
-        s = (4.0 - x) / (3.0 + math.sqrt(1.0 + 2.0 * x))
-    else:
-        # s (2 - s) h(sign (1 - s)) * sign: a cubic with h's single root in (0, 1], negative at s = 0.
-        def cubic(s):
-            value = big * s - small * (2.0 - s) - 2.0 * mu * s * (2.0 - s) * (1.0 - s)
-            return value, n - 2.0 * mu * (3.0 * s * s - 6.0 * s + 2.0)
-
-        s = _increasing_root(cubic, 0.0, 1.0, 2.0 * (small + mu) / (n + 2.0 * mu))
-    r = sign * (1.0 - s)
-    h_r = -big / (2.0 - s) ** 2 - (small / s / s if small else 0.0) - 2.0 * mu
-    return r, s, 2.0 * r / h_r
-
-
-def _sphere_components(pairs) -> list[tuple[float, float, float]]:
-    """Maximum of the likelihood on the Bloch sphere, as ``_basis_component`` triples.
-
-    Finds the multiplier ``mu > 0`` with ``|r(mu)| = 1`` as the root of
-    ``psi(mu) = 1/|r(mu)| - 1``, which increases with ``mu`` and is close
-    to linear in it.  ``psi`` is negative as ``mu -> 0`` (the
-    linear-inversion point lies outside the ball) and positive at
-    ``mu = max count``, where every ``|r_b| <= 1/2``.  A basis with an
-    empty outcome sits at its pole for ``mu <= n_b/4``, so the root lies
-    above every such kink and the search starts there, where ``psi`` is
-    smooth.
-    """
-    comps = []
-
-    def psi(mu):
-        comps[:] = [_basis_component(a, c, mu) for a, c in pairs]
-        norm = math.hypot(*(r for r, _, _ in comps))
-        return 1.0 / norm - 1.0, -sum(r * dr for r, _, dr in comps) / norm**3
-
-    hi = max(max(pair) for pair in pairs)
-    lo = max([0.25 * (a + c) for a, c in pairs if min(a, c) == 0.0], default=0.0)
+    top = counts.max(axis=(1, 2))[:, None, None]
+    # The estimate depends only on count ratios: scale exactly, by a power of two, to at most 1,
+    # and drop counts below 1e-100 of the largest, which move the likelihood by less than its
+    # rounding error and would underflow in the sphere solve.
+    exponent = np.frexp(top)[1]
+    scaled = np.where(counts >= 1e-100 * top, np.ldexp(counts, -exponent), 0.0)
+    a, c = scaled[..., 0], scaled[..., 1]
+    n, big, small = a + c, np.maximum(a, c), np.minimum(a, c)
+    r = np.where(n > 0.0, (a - c) / n, 0.0)
+    s = np.where(n > 0.0, 2.0 * small / n, 1.0)
+    norm2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
+    live = out = norm2 > 1.0
+    if not out.any():
+        return r, s, norm2
+    pole = np.where((small == 0.0) & (n > 0.0), 0.25 * n, 0.0)
+    lo = np.maximum(np.maximum(pole[:, 0], pole[:, 1]), pole[:, 2])
+    hi = np.maximum(np.maximum(big[:, 0], big[:, 1]), big[:, 2])
     # Start where |r| = 1 if every basis had the mean total.
-    mu = 0.5 * (math.hypot(*(a - c for a, c in pairs)) - sum(a + c for a, c in pairs) / len(pairs))
-    _increasing_root(psi, lo, hi, max(mu, lo) if 0.0 < max(mu, lo) < hi else 0.5 * hi)
-    return comps
+    d = a - c
+    mu = np.maximum(0.5 * (np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+                           - (n[:, 0] + n[:, 1] + n[:, 2]) / 3.0), lo)
+    mu = np.where((0.0 < mu) & (mu < hi), mu, 0.5 * hi)
+    sign, diff, half_n, columns = np.where(a >= c, 1.0, -1.0), big - small, 0.5 * n, np.arange(3)
+    for steps in range(_NEWTON_MAX_STEPS + 1):
+        if not live.any():
+            return np.where(out[:, None], sign * one, r), np.where(out[:, None], at, s), norm2
+        if steps == _NEWTON_MAX_STEPS:
+            j = int(np.argmax(live))
+            bracket = np.ldexp([lo[j], hi[j]], exponent[j, 0, 0])
+            raise ConvergenceError(f"state row {j}: the sphere solve did not settle in {steps} Newton steps; counts "
+                                   f"{dict(zip(BASIS_LABELS, map(tuple, counts[j].tolist())))}, "
+                                   f"multiplier bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]")
+        m = mu[:, None]
+        m2 = 2.0 * m
+        w = n + m2
+        y = np.sqrt(w / (1.5 * m)) * np.cos(np.arccos(np.minimum(1.5 * diff / w * np.sqrt(6 * m / w), 1.0)) / 3) - 2.0
+        p = 11.0 - half_n / m
+        y -= (y * (y * (y + 6.0) + p) + (3.0 * (4.0 * m - big) - small) / m2) / (y * (3.0 * y + 12.0) + p)
+        t0 = y + 2.0
+        q = small / (m * t0 + m)
+        root = np.sqrt(y * y + 4.0 * q)
+        # |r| = -t1 from t^2 + t0 t - Q/t0, s from s^2 + y s - small/(mu (1 + t0)).
+        k = diff / (m * t0)
+        far, near = k / (t0 + np.sqrt(t0 * t0 - 2.0 * k)), np.where(y > 0.0, 2.0 * q / (root + y), 0.5 * (root - y))
+        at, one = np.where(far < 0.5, 1.0 - far, near), np.where(far < 0.5, far, 1.0 - near)
+        oo = one * one
+        # d|r|/dmu = 2 |r| / h', with h' = -big/(2-s)^2 - small/s^2 - 2 mu < 0 the slope of the basis equation.
+        inv_h = 1.0 / (-big / (2.0 - at) ** 2 - np.where(small > 0.0, small / at / at, 0.0) - m2)
+        slopes = oo * inv_h
+        terms = np.where(columns == at.argmin(axis=1)[:, None], at * (1.0 + one), -oo)
+        gap = terms[:, 0] + terms[:, 1] + terms[:, 2]
+        norm = np.sqrt(1.0 - gap)
+        value = gap / (norm * (1.0 + norm))
+        step = value / (-2.0 * (slopes[:, 0] + slopes[:, 1] + slopes[:, 2]) / (norm * norm * norm))
+        # A change as large as s itself is past the linear range (the root lies between two floats): s stays.
+        change = 2.0 * one * inv_h * step[:, None]
+        change = np.where(np.abs(change) < at, change, 0.0)
+        at, one = at + change, one - change
+        lo, hi = np.where(value < 0.0, mu, lo), np.where(value > 0.0, mu, hi)
+        nxt = mu - step
+        done = (np.abs(step) <= _NEWTON_RTOL * mu) | (np.abs(gap) <= _PSI_ULPS * at.min(axis=1))
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, np.maximum(np.sqrt(lo) * np.sqrt(hi), 1e-3 * hi))
+        live = live & ~done & (lo < nxt) & (nxt < hi)  # a bracket closed to neighbouring floats also stops a row
+        mu = np.where(live, nxt, mu)
 
 
 def ml_reconstruct_state(basis_counts) -> StateReconstruction:
@@ -604,8 +610,9 @@ def ml_reconstruct_state(basis_counts) -> StateReconstruction:
     ``(1 + r_b)/2``, so the likelihood is maximized per basis at
     ``r_b = (a_b - c_b)/(a_b + c_b)`` (0 for an unmeasured basis).  If
     that point lies in the Bloch ball it is the estimate; otherwise the
-    estimate is the constrained maximum on the sphere.  The solve is
-    exact up to rounding, so no iteration cap or tolerance applies.
+    estimate is the constrained maximum on the sphere, solved to
+    rounding; a multiplier that does not settle within the Newton step
+    cap raises :class:`ConvergenceError` naming its row.
     This is the stack of one of :func:`ml_reconstruct_states`.
     """
     missing = [b for b in BASIS_LABELS if b not in basis_counts]
@@ -616,11 +623,11 @@ def ml_reconstruct_state(basis_counts) -> StateReconstruction:
     return ml_reconstruct_states([[basis_counts[b] for b in BASIS_LABELS]])[0]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def ml_reconstruct_states(counts) -> list[StateReconstruction]:
     """:func:`ml_reconstruct_state` of each row of a ``(k, 3, 2)`` array of per-basis counts, bases Z X Y.
 
-    All but the sphere solve runs as arrays; :func:`_sphere_components` runs for the rows outside the ball.
+    Every step runs as arrays over the stack, the sphere solve of the rows outside the ball included (:func:`_bloch`),
+    and each row ends bit for bit as it would alone.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3 or counts.shape[1:] != (len(BASIS_LABELS), 2):
@@ -628,20 +635,9 @@ def ml_reconstruct_states(counts) -> list[StateReconstruction]:
     if (bad := ~(np.isfinite(counts) & (counts >= 0.0))).any():
         j, b, o = np.argwhere(bad)[0]
         raise DataFormatError(f"bad count {counts[j, b, o].item()!r} for basis {BASIS_LABELS[b]}")
-    top = counts.max(axis=(1, 2))[:, None, None]
-    if not (top > 0.0).all():
+    if not (counts.max(axis=(1, 2)) > 0.0).all():
         raise DataFormatError("total count is zero; nothing to reconstruct")
-    # The estimate depends only on count ratios: scale exactly, by a power of two, to at most 1,
-    # and drop counts below 1e-100 of the largest, which move the likelihood by less than its
-    # rounding error and would underflow in the sphere solve.
-    scaled = np.where(counts >= 1e-100 * top, np.ldexp(counts, -np.frexp(top)[1]), 0.0)
-    # (r_b, s_b = 1 - |r_b|) per basis, Z X Y.
-    a, c = scaled[..., 0], scaled[..., 1]
-    r = np.where(a + c > 0.0, (a - c) / (a + c), 0.0)
-    s = np.where(a + c > 0.0, 2.0 * np.minimum(a, c) / (a + c), 1.0)
-    norm2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
-    if (out := norm2 > 1.0).any():
-        r[out], s[out], _ = np.moveaxis(np.array([_sphere_components(row) for row in scaled[out].tolist()]), -1, 0)
+    r, s, norm2 = _bloch(counts)
     probs = np.stack([1.0 - 0.5 * s, 0.5 * s], axis=-1)
     probs[r < 0.0] = probs[r < 0.0, ::-1]
     # Z's outcome probabilities are the diagonal; X and Y set the coherence, (r_x - i r_y) / 2.

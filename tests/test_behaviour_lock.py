@@ -39,10 +39,10 @@ Tolerances, and why:
   most ``GAP_TOL`` nats, so the pinned ``F_chi`` is that of a fit
   proven to sit at the likelihood maximum.
 * ``F_av``, ``F_min``, ``P_av`` and ``P_min`` are pinned within 1e-6
-  absolute.  They come from the output-state fits, an exact solve whose
-  root finding may end on a different last digit after a change of
-  arithmetic order; 1e-6 is far below the statistical error of either
-  dataset (about 1e-4).
+  absolute.  They come from the output-state fits, a solve to rounding
+  whose Newton in the Lagrange multiplier may end on a different last
+  digit after a change of arithmetic order; 1e-6 is far below the
+  statistical error of either dataset (about 1e-4).
 """
 
 import hashlib

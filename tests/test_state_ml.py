@@ -1,21 +1,33 @@
-"""Closed-form state ML against the iterative reference and the concavity certificate."""
+"""Closed-form state ML against the iterative reference, the concavity certificate and a decimal sphere solve."""
 
 import math
+import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phasegate.errors import DataFormatError
+from phasegate import tomography
+from phasegate.errors import ConvergenceError, DataFormatError
+from phasegate.experiment import (
+    ExperimentPlan,
+    calibrated_noise,
+    ideal_noise,
+    rescale_efficiencies,
+    select_without_feedforward,
+    simulate_counts,
+)
 from phasegate.states import BASIS_LABELS, BASIS_OUTCOMES, density, projector
 from phasegate.tomography import (
     GAP_TOL,
     PROB_FLOOR,
+    _bloch,
     _ml_fixed_point,
-    _sphere_components,
     ml_reconstruct_state,
     ml_reconstruct_states,
+    state_counts,
 )
 
 OPERATORS = np.stack([projector(label) for b in BASIS_LABELS for label in BASIS_OUTCOMES[b]])
@@ -192,7 +204,11 @@ class TestExplicitCases:
 
 
 def scalar_fit(basis_counts):
-    """The estimator one fit at a time in Python floats, as it ran before the array entry: ``(rho, L, on_boundary)``."""
+    """The estimator one fit at a time in Python floats, as it ran before the array entry: ``(rho, L, on_boundary)``.
+
+    A row outside the ball takes its sphere point, ``(r, s)`` per basis, from ``_bloch``, which
+    :func:`assert_sphere_points_near_reference` holds to the decimal reference.
+    """
     pairs = [(float(basis_counts[b][0]), float(basis_counts[b][1])) for b in BASIS_LABELS]
     top = max(max(pair) for pair in pairs)
     exponent = math.frexp(top)[1]
@@ -200,7 +216,8 @@ def scalar_fit(basis_counts):
     comps = [((a - c) / (a + c), 2.0 * min(a, c) / (a + c)) if a + c > 0.0 else (0.0, 1.0) for a, c in scaled]
     norm2 = sum(r * r for r, _ in comps)
     if norm2 > 1.0:
-        comps = [(r, s) for r, s, _ in _sphere_components(scaled)]
+        r, s, _ = _bloch(np.array([pairs]))
+        comps = list(zip(r[0].tolist(), s[0].tolist()))
     probs = [(1.0 - 0.5 * s, 0.5 * s) if r >= 0.0 else (0.5 * s, 1.0 - 0.5 * s) for r, s in comps]
     (_, _), (r_x, _), (r_y, _) = comps
     coherence = 0.5 * complex(r_x, -r_y)
@@ -210,17 +227,109 @@ def scalar_fit(basis_counts):
     return rho, ll, norm2 >= 1.0
 
 
+#: Decimal digits of :func:`reference_sphere`.
+REFERENCE_DIGITS = 40
+#: Largest ``|r - r_ref|`` and ``|s - s_ref| / s_ref`` of any basis of a row outside the ball, against
+#: :func:`reference_sphere`.  Both were measured once on the scalar sphere solve that the array pass replaced, over
+#: the rows these tests draw (8.78e-16 and 9.74e-9), so the array pass must be at least as accurate; it measured
+#: 4.0e-16 and 2.9e-15.  The scalar solve's largest ``s`` error sat near a pole, on seed 1 of ideal16k: an empty
+#: outcome whose ``s = (4 - x)/(3 + sqrt(1 + 2x))``, ``x = n/mu -> 4``, takes a last-bit change of ``mu`` as a
+#: large relative change.
+R_ATOL = 8.8e-16
+S_RTOL = 9.8e-9
+
+
+def _decimal_root(f, lo, hi, x, rtol):
+    """Root of ``f`` with ``f(lo) < 0 < f(hi)``, ``f(x)`` returning ``(value, slope)``: Newton, with bisection (in
+    ``log x`` across decades) for a step that leaves the bracket."""
+    for _ in range(2000):
+        value, slope = f(x)
+        if value == 0:
+            return x
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        nxt = x - value / slope if slope else None
+        if nxt is None or not lo < nxt < hi:
+            nxt = (lo * hi).sqrt() if 0 < 1000 * lo < hi else (lo + hi) / 2
+        if abs(nxt - x) <= rtol * abs(x) or not lo < nxt < hi:
+            return nxt
+        x = nxt
+    raise AssertionError("the decimal sphere solve did not converge")
+
+
+def reference_sphere(row):
+    """``(r, s = 1 - |r|)`` per basis of the likelihood maximum on the Bloch sphere of one ``(3, 2)`` count row,
+    in :data:`REFERENCE_DIGITS`-digit decimals.
+
+    The same equations as the estimator: each basis's component at multiplier ``mu`` is the root in (0, 1] of
+    ``big s - small (2-s) - 2 mu s (2-s) (1-s)`` (with an empty outcome, its closed form), and ``mu`` makes
+    ``|r| = 1``.  Both are solved by Newton to 5 digits beyond those returned, from the counts as exact decimals.
+    """
+    top = max(max(pair) for pair in row)
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS + 10
+        rtol = Decimal(10) ** -(REFERENCE_DIGITS + 5)
+        pairs = [tuple(Decimal(float(c)) if c >= 1e-100 * top else Decimal(0) for c in pair) for pair in row]
+
+        def component(a, c, mu):
+            n, big, small = a + c, max(a, c), min(a, c)
+            if n == 0:
+                return Decimal(0), Decimal(1), Decimal(0)
+            if small == 0:
+                x = n / mu
+                s = (4 - x) / (3 + (1 + 2 * x).sqrt())
+            else:
+                def cubic(s):
+                    return (big * s - small * (2 - s) - 2 * mu * s * (2 - s) * (1 - s),
+                            n - 2 * mu * (3 * s * s - 6 * s + 2))
+                s = _decimal_root(cubic, Decimal(0), Decimal(1), 2 * (small + mu) / (n + 2 * mu), rtol)
+            r = (1 if a >= c else -1) * (1 - s)
+            return r, s, 2 * r / (-big / (2 - s) ** 2 - (small / s / s if small else 0) - 2 * mu)
+
+        def shortfall(mu):  # 1 - |r(mu)|^2, increasing in mu
+            comps = [component(a, c, mu) for a, c in pairs]
+            return 1 - sum(r * r for r, _, _ in comps), -2 * sum(r * dr for r, _, dr in comps)
+
+        hi = max(max(pair) for pair in pairs)
+        lo = max([(a + c) / 4 for a, c in pairs if min(a, c) == 0], default=Decimal(0))
+        mu = _decimal_root(shortfall, lo, hi, (lo + hi) / 2, rtol)
+        comps = [component(a, c, mu)[:2] for a, c in pairs]
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        return [(+r, +s) for r, s in comps]
+
+
+def sphere_errors(rows):
+    """Largest ``|r - r_ref|`` and ``|s - s_ref| / s_ref`` over every basis of the rows outside the ball."""
+    r, s, norm2 = _bloch(np.asarray(rows, dtype=float))
+    worst_r = worst_s = Decimal(0)
+    for j in np.flatnonzero(norm2 > 1.0):
+        for b, (r_ref, s_ref) in enumerate(reference_sphere(rows[j])):
+            worst_r = max(worst_r, abs(Decimal(r[j, b].item()) - r_ref))
+            worst_s = max(worst_s, abs(Decimal(s[j, b].item()) - s_ref) / s_ref)
+    return float(worst_r), float(worst_s)
+
+
+def assert_sphere_points_near_reference(rows):
+    worst_r, worst_s = sphere_errors(rows)
+    assert worst_r <= R_ATOL and worst_s <= S_RTOL, (worst_r, worst_s)
+    return worst_r, worst_s
+
+
 def assert_stack_matches_scalar_fits(rows):
     # rho bit for bit, zero signs included, as the state files write them; L through np.log within 1e-15.
-    fits = ml_reconstruct_states([[row[b] for b in BASIS_LABELS] for row in rows])
+    # Returns the sphere rows' errors against the decimal reference.
+    rows = np.asarray([[row[b] for b in BASIS_LABELS] if isinstance(row, dict) else row for row in rows], dtype=float)
+    fits = ml_reconstruct_states(rows)
     assert len(fits) == len(rows)
     for fit, row in zip(fits, rows):
-        alone = ml_reconstruct_state(row)
-        rho, ll, on_boundary = scalar_fit(row)
+        basis_counts = dict(zip(BASIS_LABELS, row.tolist()))
+        alone = ml_reconstruct_state(basis_counts)
+        rho, ll, on_boundary = scalar_fit(basis_counts)
         assert fit.rho.tobytes() == alone.rho.tobytes() == rho.tobytes()
         assert fit.on_boundary == alone.on_boundary == on_boundary
         for value in (fit.log_likelihood, alone.log_likelihood):
             assert abs(value - ll) <= 1e-15 * abs(ll)
+    return assert_sphere_points_near_reference(rows)
 
 
 nonzero_basis_counts = basis_counts_st.filter(lambda row: flat_counts(row).sum() > 0)
@@ -265,3 +374,33 @@ def test_state_stack_of_none_and_bad_shapes():
         ml_reconstruct_states(np.ones((2, 2, 2)))
     with pytest.raises(DataFormatError, match="bad count nan for basis X"):
         ml_reconstruct_states([[(1.0, 1.0)] * 3, [(1.0, 1.0), (1.0, np.nan), (1.0, 1.0)]])
+
+
+def seed_one_rows(noise):
+    """The state rows of both analyses of seed 1 of the pipeline's stream, as ``reconstruct_analyses`` fits them."""
+    table = simulate_counts(ExperimentPlan(), noise, 1)
+    return np.concatenate([state_counts(rescale_efficiencies(analyzed, noise)).reshape(-1, len(BASIS_LABELS), 2)
+                           for analyzed in (table, select_without_feedforward(table))])
+
+
+@pytest.mark.parametrize("noise", [ideal_noise(pair_rate=16000.0), calibrated_noise()], ids=["ideal16k", "calibrated"])
+def test_state_stack_matches_scalar_fits_on_seed_one(noise):
+    rows = seed_one_rows(noise)
+    assert len(rows) == 84
+    # The array pass's own accuracy on these rows, measured at 1.2e-16 and 6.8e-16, with a tenfold margin: a pole
+    # basis whose s is taken with cancellation, or from a multiplier that is off in its last bit, reads 1e-12 or more.
+    worst_r, worst_s = assert_stack_matches_scalar_fits(rows)
+    assert worst_r <= 1.2e-15 and worst_s <= 6.8e-15, (worst_r, worst_s)
+
+
+def test_a_sphere_solve_out_of_steps_names_its_row(monkeypatch):
+    monkeypatch.setattr(tomography, "_NEWTON_MAX_STEPS", 1)
+    rows = [EDGE_ROWS[-1], {"Z": (990.0, 10.0), "X": (600.0, 400.0), "Y": (520.0, 480.0)}]
+    with pytest.raises(ConvergenceError) as caught:
+        ml_reconstruct_states([[row[b] for b in BASIS_LABELS] for row in rows])
+    match = re.fullmatch(r"state row 1: the sphere solve did not settle in 1 Newton steps; counts "
+                         r"\{'Z': \(990\.0, 10\.0\), 'X': \(600\.0, 400\.0\), 'Y': \(520\.0, 480\.0\)\}, "
+                         r"multiplier bracket \[(\S+), (\S+)\]", str(caught.value))
+    assert match, str(caught.value)
+    lo, hi = map(float, match.groups())
+    assert 0.0 <= lo < hi <= 990.0
