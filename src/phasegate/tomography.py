@@ -17,10 +17,10 @@ gap is at most :data:`GAP_TOL`.  Two monotone stages climb ``L``
 (see :func:`_ml_fixed_point`): a short warm-up with the fixed point
 ``chi <- N[R chi R]`` (RrhoR, ``N`` the trace renormalization), which
 finds the support of the optimum fast but then converges only linearly,
-and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the rank read
-off the warm-up iterate (after Burer & Monteiro, Math. Program. 95, 329,
-2003), which has no PSD constraint left and converges quadratically; each
-step is a gauge-fixed Cholesky solve, ``eigh`` only where that fails.
+and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the warm-up
+iterate's likeliest truncation, a column more where it stands still short
+of the certificate (after Burer & Monteiro, Math. Program. 95, 329, 2003),
+which converges quadratically; each step is a gauge-fixed Cholesky solve.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stack, each
 fit with weight 0 on the outcomes it lacks, and judges each fit once, at the
@@ -66,7 +66,7 @@ MAX_ITERS = 10**5
 # A step is treated as a likelihood decrease only beyond this slack;
 # per-event log-likelihoods are O(1), so this sits well above rounding.
 _DECREASE_TOL = 1e-14
-# RrhoR steps of the warm-up, after which each fit is judged once, and the Newton steps of each pass.
+# RrhoR steps of the warm-up, after which each fit is judged once; Newton steps before the full-rank retry, and in it.
 _WARMUP_STEPS = 32
 _FACTOR_STEPS = 24
 # Where the gauge-fixed solve fails, Hessian eigenvalues above this fraction of the largest |negative one| are flat.
@@ -239,21 +239,20 @@ def _design(flat_operators: bytes, dim: int, trace_target: float):
 #: Values of ``ProcessReconstruction.stop_reason``, each of the estimate a fit returns, which stops at any iterate
 #: that certifies, in the warm-up too; the first two set ``converged``.  ``certified``: the gap is at most GAP_TOL.
 #: ``rounding``: the gap is within the rounding error of the certificate itself, which exceeds GAP_TOL once N is
-#: above about 7e7 events.  ``stalled``: the last Newton pass found no step that raises L or ran out of steps, or,
+#: above about 7e7 events.  ``stalled``: Newton found no step that raises L, stood still or ran out of steps, or,
 #: under ``tol > 0``, an RrhoR step would lower L.  No pipeline fit sets ``tol``; only under it, ``max_iters``:
 #: RrhoR took :data:`MAX_ITERS` steps, and ``step``: the change of the iterate fell below ``tol`` first.
 STOP_REASONS = ("certified", "rounding", "stalled", "max_iters", "step")
+_SETTLED = (None, "certified", "rounding")  # the stop reason of each code of _settled: None goes on
 
 
-def _settled(lam: float, n_total: float, trace_target: float) -> tuple[float, str | None]:
-    """The certificate ``gap = N (trace_target lam - 1)`` of a fit to ``n_total`` events whose gradient has the
-    largest eigenvalue ``lam``, and the stop reason it gives, or None to go on."""
-    gap = float(n_total * (trace_target * lam - 1.0))
+def _settled(lam: np.ndarray, n_total: np.ndarray, trace_target: float) -> tuple[np.ndarray, np.ndarray]:
+    """The certificates ``gap = N (trace_target lam - 1)`` of fits to ``n_total`` events whose gradients have the
+    largest eigenvalues ``lam``, and the code in :data:`_SETTLED` of the stop reason each gives."""
+    gap = n_total * (trace_target * lam - 1.0)
     # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
     floor = _ROUNDING_RTOL * (n_total + gap)
-    if gap <= GAP_TOL:
-        return gap, "certified" if floor <= GAP_TOL else "rounding"
-    return gap, "rounding" if gap <= floor else None
+    return gap, (gap <= np.maximum(floor, GAP_TOL)) * (1 + (floor > GAP_TOL))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -276,23 +275,20 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        the one before its first step that would lower ``L``, or else the
        last.  The fit stops there if the gap certifies, and otherwise goes
        on to Newton.  Every fit sums over all of the design's outcomes: one
-       that a fit lacks has weight 0 there and 1 added to its ``q_k``, so
-       that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
-    2. Damped Newton on a factor ``m = trace_target B B^H / |B|^2`` with
-       ``B`` of shape ``dim x rank``.  The rank drops every eigenvector of
-       the iterate whose multiplier is at least half the largest one,
-       unless it is within the spread of the in-range multipliers.  The
-       factor carries no PSD constraint, so Newton converges quadratically
-       to the rank-limited maximum, which is the maximum when the rank is
-       right.  ``L`` does not change under ``B -> c B U`` for unitary
-       ``U``, so each step is a gauge-fixed Cholesky solve, ``eigh`` only
-       where that fails.  At most ``_FACTOR_STEPS`` steps.  If the pass ends
-       uncertified (no damped step raises ``L``, or the steps run out) and
-       the rank dropped a direction that the optimum keeps, one more pass
-       of as many steps starts again from the warm-up iterate and its gap
-       with every eigenvector kept.  The fits of one rank step as one stack,
-       and the retries as one more; each fit keeps its own damping and
-       stop, and the outcomes it lacks weigh 0 as in stage 1.
+       that a fit lacks has weight 0 there and ``q_0`` (1 in Newton) added to
+       its ``q_k``, so that it adds exactly 0 to ``L`` and ``R`` (not ``0 log 0``).
+    2. Damped Newton on a factor ``m = trace_target B B^H / |B|^2``, from the
+       truncation of the iterate to its top eigenvectors with the greatest
+       ``L``, converges quadratically to the rank-limited maximum.  ``L`` is
+       flat along ``B -> c B U`` for unitary ``U``, so each step is a
+       gauge-fixed Cholesky solve, ``eigh`` only where that fails.  A fit that
+       stands still short of the certificate below full rank gains a column
+       along the top eigenvector of ``R`` (Journée, Bach, Absil & Sepulchre,
+       SIAM J. Optim. 20, 2327, 2010).  It all shares ``_FACTOR_STEPS`` steps;
+       a fit from below full rank that spends them, or stands still at full
+       rank, gets as many more from the warm-up iterate and its gap, with every
+       eigenvector kept.  The fits of one rank step as one stack, the retries
+       as one more, each with its own damping and stop.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
@@ -314,12 +310,13 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     # RrhoR steps unnormalized m.  With q_k = Tr[m E_k] and q_0 = Tr[m] / trace_target, p_k = q_k / q_0, and
     # the weight -1 on q_0 gives L = sum_k f_k log q_k - log q_0 and the gradient R / q_0.  The weights of
     # each fit are a (1, n) matrix of their own, so that its products do not depend on the other fits, and an
-    # outcome it lacks has weight 0 and 1 added to q_k.
+    # outcome it lacks has weight 0 and q_0 added to q_k by a probe matrix of its own.
     weights = np.concatenate([counts, -n_total[:, None]], axis=1)[:, None] / n_total[:, None, None]
     empty = (weights == 0.0) * 1.0
+    fit_probe = e_probe + e_probe[:, -1:] * empty
 
     def probe(m):
-        return m.reshape(len(m), 1, -1).view(float) @ e_probe + empty
+        return m.reshape(len(m), 1, -1).view(float) @ fit_probe
 
     def likelihood(q):
         return (weights * np.log(q)).sum(axis=-1)
@@ -351,12 +348,13 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     at = [i + 1 - d if e else len(iterates) - 1 for i, e, d in zip(first, ended, down)]
     m, q, g = (np.array([iterates[i][n][j] for j, i in enumerate(at)]) for n in range(3))
     # lambda_max of the gradient at the iterate scaled to trace_target, which is q_0 times that of g.
-    lam, est, r = (q[:, 0, -1] * np.linalg.eigvalsh(g)[:, -1]).tolist(), m / q[:, :, -1:], g * q[:, :, -1:]
+    gap, code = _settled(q[:, 0, -1] * np.linalg.eigvalsh(g)[:, -1], n_total, trace_target)
+    est = m / q[:, :, -1:]
     # A fit's trace is a list and its stop None until it is settled, or until it ends as Newton or RrhoR left it.
-    fits = [ProcessReconstruction(None, i + d, 0.0, lls[j, : i + 1].tolist(), d, *_settled(lam[j], n, trace_target), 0)
-            for j, (i, d, n) in enumerate(zip(at, down, n_total))]
+    fits = [ProcessReconstruction(None, i + d, 0.0, lls[j, : i + 1].tolist(), d, gj, _SETTLED[k], 0)
+            for j, (i, d, gj, k) in enumerate(zip(at, down, gap.tolist(), code.tolist()))]
     if tol <= 0.0 and (go := [j for j, fit in enumerate(fits) if fit.stop_reason is None]):
-        _newton(fits, go, est, r, forms, e_grad[:-1], weights, empty, n_total, trace_target)
+        _newton(fits, go, est, forms, fit_probe, e_grad[:-1], weights, empty, n_total, trace_target)
     for fit, m, n, d, e in zip(fits, est, n_total, down, ended):
         fit.choi, fit.iterations = 0.5 * (m + m.conj().T), fit.iterations + fit.newton_iterations
         fit.log_likelihood_trace = np.asarray(fit.log_likelihood_trace)
@@ -365,31 +363,31 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
     return fits
 
 
-def _newton(fits, go, est, r, forms, e_build, weights, empty, n_total, trace_target):
-    """Stage 2 of :func:`_ml_fixed_point` for the fits ``go``: ``est``, ``r`` and ``fits`` are updated in place.
-
-    The fits of one factor rank step as one stack, and the full-rank retries as one more.
-    """
-    warm = est[go], r[go], [(len(fits[j].log_likelihood_trace), fits[j].certified_gap) for j in go]
+def _newton(fits, go, est, forms, fit_probe, e_build, weights, empty, n_total, trace_target):
+    """Stage 2 of :func:`_ml_fixed_point` for the fits ``go``, updating ``est`` and ``fits`` in place: each
+    factor rank steps as one stack, with the fits that gained a column below it, and the full-rank retries as one."""
+    warm = est[go], [(len(fits[j].log_likelihood_trace), fits[j].certified_gap) for j in go]
     (w, v), dim = np.linalg.eigh(warm[0]), est.shape[-1]
-    multipliers = 1.0 - trace_target * (v.conj() * (warm[1] @ v)).sum(axis=1).real
-    columns = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).mT  # row i: column i of B
-    # Their mean weighted by w is 0; a multiplier within the spread of the in-range ones
-    # (|min|) is not told apart from them, and the direction of the smallest always stays.
-    kept = [[m <= max(0.5 * max(mu), abs(min(mu))) for m in mu] for mu in multipliers.tolist()]
-    for rank in sorted(set(ranks := [sum(row) for row in kept])):
-        c = columns[np.array([row if k == rank else [False] * dim for row, k in zip(kept, ranks)])]
-        _factor_pass(fits, [j for j, k in zip(go, ranks) if k == rank], c.reshape(-1, rank, dim), est, r, forms,
-                     e_build, weights, empty, n_total, trace_target)
-    # A pass the rank leaves uncertified is retried once at full rank, from the warm-up iterate and its gap.
+    # Row i: column i of B, the largest first; then L of each truncation to the top columns, from one probe of the
+    # outcomes of each column.  A NaN L (some p_k <= 0) loses, and ties go to the lower rank.
+    columns = np.ascontiguousarray((v * np.sqrt(np.maximum(w, 0.0))[:, None, :]).mT[:, ::-1])
+    q = (columns[..., None] * columns[:, :, None].conj()).reshape(len(go), dim, 1, -1).view(float) @ fit_probe[go, None]
+    ll = (np.log(q.cumsum(axis=1)) @ weights[go].mT[:, None])[..., 0, 0]
+    ranks, left, grown = (np.fmax(ll, -np.inf).argmax(axis=1) + 1).tolist(), np.full(len(fits), _FACTOR_STEPS), []
+    for rank in range(min(ranks), dim + 1):
+        start = [i for i, k in enumerate(ranks) if k == rank]
+        if ids := [go[i] for i in start] + grown:
+            c = np.concatenate([columns[start, :rank], c]) if grown else columns[start, :rank]
+            grown, c = _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_total, trace_target)
+    # A fit from below full rank that spends its steps, or stands still at full rank, is retried once at full
+    # rank with steps of its own, from the warm-up iterate and its gap.
     if retry := [i for i, (j, k) in enumerate(zip(go, ranks)) if k < dim and fits[j].stop_reason is None]:
         ids = [go[i] for i in retry]
-        est[ids], r[ids] = warm[0][retry], warm[1][retry]
+        est[ids], left[ids] = warm[0][retry], _FACTOR_STEPS
         for i, j in zip(retry, ids):
-            steps, fits[j].certified_gap = warm[2][i]
+            steps, fits[j].certified_gap = warm[1][i]
             del fits[j].log_likelihood_trace[steps:]
-        _factor_pass(fits, ids, np.ascontiguousarray(columns[retry]), est, r, forms, e_build, weights, empty,
-                     n_total, trace_target)
+        _factor_pass(fits, ids, columns[retry], left, est, forms, e_build, weights, empty, n_total, trace_target)
 
 
 @functools.cache
@@ -406,7 +404,7 @@ def _newton_step(x, grad, hess, gauge):
     """Newton steps ``m^-1 grad`` of a stack of factors x, ``m`` being ``-hess`` plus the Gram matrix of the flat
     directions of :func:`_gauge` at the mean curvature, once Cholesky proves it positive definite; else by halves."""
     g = (x[:, None] @ gauge).reshape(len(x), -1, x.shape[1])
-    m = g.mT @ g * (np.diagonal(hess, 0, 1, 2).mean(axis=1) / -(x * x).sum(axis=1))[:, None, None] - hess
+    m = g.mT @ g * (np.diagonal(hess, 0, 1, 2).sum(axis=1) / x.shape[1] / -(x * x).sum(axis=1))[:, None, None] - hess
     try:
         np.linalg.cholesky(m)
         return np.linalg.solve(m, grad[..., None])[..., 0]
@@ -418,21 +416,24 @@ def _newton_step(x, grad, hess, gauge):
     return (np.where(neg, (grad[:, None] @ basis)[:, 0] / -curv, 0.0)[:, None] @ basis.mT)[:, 0]
 
 
-def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, trace_target):
-    """At most ``_FACTOR_STEPS`` damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``.
-
+def _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_total, trace_target):
+    """Damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``, within the steps ``left``.  A
+    fit leaves once it certifies, spends its steps or stands still (its step within rounding of its factor, or no
+    damped step raising L); returns the ids of the last below full rank, and their factors with a column more.
     Over the float view x of C = B^T (row j: column j of B), L(x) = sum_k f_k log q_k with q_k = Tr[B^H E_k B]
     = sum_j b_j . forms[k] b_j; the last form, of I, gives q = |x|^2 and weight -1.  Every product and sum is one
-    fit's, so a fit steps bit for bit as it would alone, and it leaves the stack once it stops.
-    """
+    fit's, so a fit steps bit for bit as it would alone."""
     count, rank, dim = c.shape
-    n, row = 2 * rank * dim, 2 * dim
-    x, f, z = c.view(float).reshape(count, n), weights[ids], empty[ids]
-    ll, block_diagonal = [fits[j].log_likelihood_trace[-1] for j in ids], np.eye(rank)[:, None, :, None]
-    jac_forms, flat_forms, probe = forms.reshape(-1, row).mT, forms.reshape(len(forms), -1), e_build.T
-    for _ in range(_FACTOR_STEPS):
-        for j in ids:
-            fits[j].newton_iterations += 1
+    n, row, ids = 2 * rank * dim, 2 * dim, np.array(ids)
+    x, f, z, nt, budget = c.view(float).reshape(count, n), weights[ids], empty[ids], n_total[ids], left[ids]
+    ll, block_diagonal = np.array([fits[j].log_likelihood_trace[-1] for j in ids]), np.eye(rank)[:, None, :, None]
+    jac_forms, flat_forms, probe, grown = forms.reshape(-1, row).mT, forms.reshape(len(forms), -1), e_build.T, []
+
+    def grow(out, x, p, f):  # stores the steps left; the fits out, with steps left, below full rank gain a column
+        left[ids] = budget
+        if rank < dim and (out := out & (budget > 0)).any():
+            grown.append((ids[out], x[out].view(complex).reshape(-1, rank, dim), p[out], f[out, ..., :-1]))
+    while True:
         blocks = x.reshape(-1, rank, row)
         jac = (blocks @ jac_forms).reshape(len(ids), rank, -1, row).transpose(0, 2, 1, 3).reshape(len(ids), -1, n)
         q = x[:, None] @ jac.mT + z  # row k of jac: half the gradient of q_k
@@ -445,34 +446,63 @@ def _factor_pass(fits, ids, c, est, r, forms, e_build, weights, empty, n_total, 
         # L is flat along B -> c B U: a gauge-fixed Cholesky solve, eigh only where that fails.
         step = _newton_step(x, grad, hess, _gauge(rank, dim))
         # Each fit halves its own step until L does not fall; the others repeat theirs, which changes nothing.
-        alpha = np.ones((len(ids), 1))
+        x_new, alpha, budget = x + step, None, budget - 1
+        for j in ids.tolist():
+            fits[j].newton_iterations += 1
         while True:
-            x_new = x + alpha * step
             c_new = x_new.view(complex).reshape(-1, rank, dim)
             scale = trace_target / (x_new[:, None] @ x_new[:, :, None])
             candidate = c_new.mT @ c_new.conj() * scale
             p = candidate.reshape(-1, 1, dim * dim).view(float) @ probe + z[..., :-1]
-            ll_new = (f[..., :-1] * np.log(p)).sum(axis=-1)[:, 0].tolist()
-            ok = [new >= old - _DECREASE_TOL for new, old in zip(ll_new, ll)]  # a NaN L (some p_k <= 0) fails
-            if all(ok) or not any(search := [not o and d > _MIN_DAMPING for o, d in zip(ok, alpha[:, 0].tolist())]):
+            ll_new = (f[..., :-1] * np.log(p)).sum(axis=-1)[:, 0]
+            if (all_ok := (ok := ll_new >= ll - _DECREASE_TOL).all()):  # a NaN L (some p_k <= 0) fails
+                break
+            alpha = np.ones((len(ids), 1)) if alpha is None else alpha
+            if not (search := ~ok & (alpha[:, 0] > _MIN_DAMPING)).any():
                 break
             alpha[search] *= 0.5
-        if not all(ok):  # Newton cannot raise L from the fits not ok
-            if not (ids := [j for j, o in zip(ids, ok) if o]):
-                return
-            x_new, scale, candidate, p, f, alpha = (v[ok] for v in (x_new, scale, candidate, p, f, alpha))
-            ll_new, z = [v for v, o in zip(ll_new, ok) if o], z[ok]
+            x_new = x + alpha * step
+        if not all_ok:
+            grow(~ok, x, trace_target * q[..., :-1] / q[..., -1:], f)
+            if not ok.any():
+                break
+            ids, x_new, scale, candidate, p, f, z, nt, ll_new, step, budget, alpha = (
+                v[ok] for v in (ids, x_new, scale, candidate, p, f, z, nt, ll_new, step, budget, alpha))
         x, ll = x_new * np.sqrt(scale[:, 0]), ll_new
         r_new = ((f[..., :-1] / p) @ e_build).view(complex).reshape(-1, dim, dim)
-        est[ids], r[ids] = candidate, r_new
-        for j, fit_ll, lam, damped in zip(ids, ll, np.linalg.eigvalsh(r_new)[:, -1].tolist(), alpha[:, 0] < 1.0):
+        est[ids] = candidate
+        gap, code = _settled(np.linalg.eigvalsh(r_new)[:, -1], nt, trace_target)
+        damped = [False] * len(ids) if alpha is None else (alpha[:, 0] < 1.0).tolist()
+        for j, fit_ll, d, g, k in zip(ids.tolist(), ll.tolist(), damped, gap.tolist(), code.tolist()):
             fits[j].log_likelihood_trace.append(fit_ll)
-            fits[j].likelihood_decreases += int(damped)
-            fits[j].certified_gap, fits[j].stop_reason = _settled(lam, n_total[j], trace_target)
-        if not all(on := [fits[j].stop_reason is None for j in ids]):
-            if not (ids := [j for j, o in zip(ids, on) if o]):
-                return
-            x, ll, f, z = x[on], [v for v, o in zip(ll, on) if o], f[on], z[on]
+            fits[j].likelihood_decreases += d
+            fits[j].certified_gap, fits[j].stop_reason = g, _SETTLED[k]
+        still = (step * step).sum(axis=1) <= _ROUNDING_RTOL**2 * trace_target  # |x|^2 <= trace_target
+        if (out := (code > 0) | still | (budget == 0)).any():
+            grow(still & (code == 0), x, p, f)
+            if out.all():
+                break
+            ids, x, f, z, nt, ll, budget = (v[~out] for v in (ids, x, f, z, nt, ll, budget))
+    if not grown:
+        return [], c[:0]
+    # A column more for each fit that stands still: the top eigenvector v of R there, made orthogonal to its columns,
+    # at the weight s that maximises the concave L((1 - s) m + s trace_target v v^H), where L'(0) > 0 if uncertified.
+    ids, c, p, f = (np.concatenate(v) for v in zip(*grown))  # p is any value where f_k = 0
+    v = np.linalg.eigh(((f / p) @ e_build).view(complex).reshape(-1, dim, dim))[1][..., -1]
+    v -= ((basis := np.linalg.qr(c.mT)[0]) @ (basis.conj().mT @ v[..., None]))[..., 0]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    d = trace_target * ((v[:, :, None] * v[:, None].conj()).reshape(len(v), 1, -1).view(float) @ probe) - p
+    (s, lo, done), hi = np.zeros((3, len(v), 1, 1)), np.ones((len(v), 1, 1))
+    for _ in range(64):  # safeguarded Newton in s on [0, 1), each fit stopped by its own step
+        slope = (f * d / (den := p + s * d)).sum(axis=-1, keepdims=True)
+        lo, hi = np.where(slope > 0.0, s, lo), np.where(slope > 0.0, hi, s)
+        new = s + slope / (f * d * d / (den * den)).sum(axis=-1, keepdims=True)
+        new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        s = np.where(done := (done > 0.0) | (abs(new - s) <= 1e-12 * new), s, new)
+        if done.all():
+            break
+    scale = (1.0 - s) * trace_target / (abs(c) ** 2).sum(axis=(1, 2), keepdims=True)
+    return ids.tolist(), np.concatenate([c * np.sqrt(scale), np.sqrt(s * trace_target) * v[:, None]], axis=1)
 
 
 def ml_reconstruct_process(settings, tol: float = 0.0) -> ProcessReconstruction:

@@ -19,7 +19,12 @@ every artefact is written and compared against recorded values:
   stream replaced the per-setting one.
 * Both sets' iteration and Newton-split pins were re-pinned when the
   Newton step became a gauge-fixed Cholesky solve: five fits took one
-  step fewer or damped one step fewer, and no other pin moved.
+  step fewer or damped one step fewer, and no other pin moved.  They
+  were re-pinned again when each fit's Newton began at its best
+  warm-up truncation and gained columns along R's top eigenvector:
+  the ideal16k fits took 83 Newton steps before and 47 after, the
+  stream-ideal16k ones 80 and 42, the stream-calibrated ones 46 and 43,
+  the calibrated ones stayed, and no other pin moved.
 
 Tolerances, and why:
 
@@ -66,9 +71,9 @@ PINS = {
     "ideal16k": (
         ideal_noise(pair_rate=16000),
         "175fb21511ee7509f95e406f11272ef4541ca8d4083552fd238809723d00ceb9",
-        ((33, 41, 42, 33, 41, 43, 33), (33, 41, 41, 33, 45, 39, 33)),
-        (((1, 0), (9, 0), (10, 0), (1, 0), (9, 0), (11, 0), (1, 0)),
-         ((1, 0), (9, 0), (9, 0), (1, 0), (13, 0), (7, 0), (1, 0))),
+        ((33, 39, 34, 33, 39, 34, 33), (33, 39, 34, 33, 39, 39, 33)),
+        (((1, 0), (7, 0), (2, 0), (1, 0), (7, 0), (2, 0), (1, 0)),
+         ((1, 0), (7, 0), (2, 0), (1, 0), (7, 0), (7, 0), (1, 0))),
         """\
 0,0.999999534,0.999999151,0.99999782,1,1,1,0.500024705
 0.523598775598,0.99984403,0.999807682,0.999251333,0.999618953,0.998506783,1,0.500024705
@@ -117,9 +122,9 @@ STREAM_PINS = {
     "stream-ideal16k": (
         ideal_noise(pair_rate=16000),
         "c674fa2d47fea98d4c3e3674159c7811a724340ebc48d08880867a30537d5b55",
-        ((33, 41, 41, 33, 44, 41, 33), (33, 42, 41, 33, 40, 40, 33)),
-        (((1, 0), (9, 0), (9, 0), (1, 0), (12, 0), (9, 0), (1, 0)),
-         ((1, 0), (10, 0), (9, 0), (1, 0), (8, 0), (8, 0), (1, 0))),
+        ((33, 39, 39, 33, 34, 34, 33), (33, 39, 39, 33, 34, 34, 33)),
+        (((1, 0), (7, 0), (7, 0), (1, 0), (2, 0), (2, 0), (1, 0)),
+         ((1, 0), (7, 0), (7, 0), (1, 0), (2, 0), (2, 0), (1, 0))),
         """\
 0,0.999999479,0.99999909,0.999997234,1,1,1,0.499993786
 0.523598775598,0.999855158,0.99983736,0.99921992,0.999677215,0.998451546,1,0.499993786
@@ -140,9 +145,9 @@ STREAM_PINS = {
     "stream-calibrated": (
         calibrated_noise(),
         "69137b2c78e4d5ff32129d8fe4418064a87f0a24f231d5febd3d597552e3481e",
-        ((39, 34, 34, 34, 34, 36, 34), (38, 34, 34, 34, 34, 41, 34)),
-        (((7, 0), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0), (2, 0)),
-         ((6, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 0), (2, 0))),
+        ((38, 34, 34, 34, 34, 36, 34), (36, 34, 34, 34, 34, 41, 34)),
+        (((6, 0), (2, 0), (2, 0), (2, 0), (2, 0), (4, 0), (2, 0)),
+         ((4, 0), (2, 0), (2, 0), (2, 0), (2, 0), (9, 0), (2, 0))),
         """\
 0,0.973657899,0.982452099,0.972344829,0.965982486,0.946387557,1,0.499972889
 0.523598775598,0.974142497,0.982747401,0.970942295,0.966574815,0.943576521,1,0.499972889
