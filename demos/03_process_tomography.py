@@ -3,9 +3,11 @@
 Six input states times three measurement bases give 36 weighted projector
 equations, enough to pin down the 4x4 Choi matrix chi of the gate.  The
 fit climbs the likelihood with a few dozen steps of the fixed point
-chi <- N[R chi R], reads off the rank of the optimum, and finishes with
-Newton steps on a factor chi ~ B B^dagger of that rank, retried once at
-full rank if that rank proves too low.  It stops once the
+chi <- N[R chi R] and finishes with Newton steps on a factor
+chi ~ B B^dagger, from the warm-up iterate's likeliest truncation to its
+top eigenvectors.  The factor gains a column as soon as its rank cannot
+certify the fit, and a fit that runs out of steps is retried once at
+full rank.  It stops once the
 concavity certificate proves the estimate within 1e-6 nats of the
 maximum; the result is positive semidefinite by construction.
 """

@@ -18,8 +18,8 @@ gap is at most :data:`GAP_TOL`.  Two monotone stages climb ``L``
 ``chi <- N[R chi R]`` (RrhoR, ``N`` the trace renormalization), which
 finds the support of the optimum fast but then converges only linearly,
 and damped Newton on a factor ``chi = 2 B B^H / |B|^2`` of the warm-up
-iterate's likeliest truncation, a column more where it stands still short
-of the certificate (after Burer & Monteiro, Math. Program. 95, 329, 2003),
+iterate's likeliest truncation, a column more as soon as that rank cannot
+certify the fit (after Burer & Monteiro, Math. Program. 95, 329, 2003),
 which converges quadratically; each step is a gauge-fixed Cholesky solve.
 Fits of one design run as a batch, as :func:`ml_reconstruct_phases` fits
 the phases of a dataset's count tables: the warm-up steps one ``(k, 4, 4)`` stack, each
@@ -32,8 +32,9 @@ splits into one term per basis, so its maximum over the Bloch ball is
 the linear-inversion point when that lies inside the ball, and
 otherwise a point on the sphere fixed by one Lagrange multiplier: each
 basis's component is a closed-form cubic root in the multiplier, and one
-safeguarded Newton finds the multiplier of every row of a stack at once
-(:func:`ml_reconstruct_state`; :func:`ml_reconstruct_states` for a stack).
+safeguarded Newton, started at the first-order root of ``|r|^2 = 1``, finds
+the multiplier of every row of a stack at once (:func:`ml_reconstruct_state`;
+:func:`ml_reconstruct_states` for a stack).
 
 Matrices are plain ``np.ndarray`` values.  A two-qubit index is the
 row-major composite ``(i_in, i_out)`` that ``np.kron`` produces, so
@@ -252,7 +253,7 @@ def _settled(lam: np.ndarray, n_total: np.ndarray, trace_target: float) -> tuple
     gap = n_total * (trace_target * lam - 1.0)
     # Rounding in lambda_max(R) moves the gap by about N Tr lambda_max(R) eps = (N + gap) eps.
     floor = _ROUNDING_RTOL * (n_total + gap)
-    return gap, (gap <= np.maximum(floor, GAP_TOL)) * (1 + (floor > GAP_TOL))
+    return gap, (gap <= np.maximum(floor, GAP_TOL)) << (floor > GAP_TOL)  # 1, or 2 where the floor is above GAP_TOL
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -281,14 +282,17 @@ def _ml_fixed_point(operators: np.ndarray, counts, dim: int, trace_target: float
        truncation of the iterate to its top eigenvectors with the greatest
        ``L``, converges quadratically to the rank-limited maximum.  ``L`` is
        flat along ``B -> c B U`` for unitary ``U``, so each step is a
-       gauge-fixed Cholesky solve, ``eigh`` only where that fails.  A fit that
-       stands still short of the certificate below full rank gains a column
-       along the top eigenvector of ``R`` (Journée, Bach, Absil & Sepulchre,
-       SIAM J. Optim. 20, 2327, 2010).  It all shares ``_FACTOR_STEPS`` steps;
-       a fit from below full rank that spends them, or stands still at full
-       rank, gets as many more from the warm-up iterate and its gap, with every
-       eigenvector kept.  The fits of one rank step as one stack, the retries
-       as one more, each with its own damping and stop.
+       gauge-fixed Cholesky solve, ``eigh`` only where that fails.  A fit
+       below full rank gains a column along the top eigenvector of ``R`` as
+       soon as that rank cannot certify it: it stands still short of the
+       certificate, or it is more than 1 nat short and the Newton model of
+       its undamped step gains at most 1e-4 of that gap (Journée, Bach,
+       Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010).  It all shares
+       ``_FACTOR_STEPS`` steps; a fit from below full rank that spends them,
+       or stands still at full rank, gets as many more from the warm-up
+       iterate and its gap, with every eigenvector kept.  The fits of one
+       rank step as one stack, the retries as one more, each with its own
+       damping and stop.
 
     Every accepted iterate lowers the per-event log-likelihood by at most
     ``_DECREASE_TOL``, so the trace is monotone; Newton backtracks until
@@ -418,8 +422,9 @@ def _newton_step(x, grad, hess, gauge):
 
 def _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_total, trace_target):
     """Damped Newton steps of the fits ``ids`` as one stack, from the factors ``c``, within the steps ``left``.  A
-    fit leaves once it certifies, spends its steps or stands still (its step within rounding of its factor, or no
-    damped step raising L); returns the ids of the last below full rank, and their factors with a column more.
+    fit leaves once it certifies, spends its steps or stands still: its step within rounding of its factor, no damped
+    step raising L or, below full rank, an undamped step whose Newton model gain N grad . step is at most 1e-4 of a
+    gap above 1 nat.  Returns the ids of the last below full rank, and their factors with a column more.
     Over the float view x of C = B^T (row j: column j of B), L(x) = sum_k f_k log q_k with q_k = Tr[B^H E_k B]
     = sum_j b_j . forms[k] b_j; the last form, of I, gives q = |x|^2 and weight -1.  Every product and sum is one
     fit's, so a fit steps bit for bit as it would alone."""
@@ -428,6 +433,7 @@ def _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_tota
     x, f, z, nt, budget = c.view(float).reshape(count, n), weights[ids], empty[ids], n_total[ids], left[ids]
     ll, block_diagonal = np.array([fits[j].log_likelihood_trace[-1] for j in ids]), np.eye(rank)[:, None, :, None]
     jac_forms, flat_forms, probe, grown = forms.reshape(-1, row).mT, forms.reshape(len(forms), -1), e_build.T, []
+    gauge, still_tol = _gauge(rank, dim), _ROUNDING_RTOL**2 * trace_target  # |x|^2 <= trace_target
 
     def grow(out, x, p, f):  # stores the steps left; the fits out, with steps left, below full rank gain a column
         left[ids] = budget
@@ -444,7 +450,7 @@ def _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_tota
         # forms[k] to each column of B, so that its first term is block diagonal.
         hess = (block_diagonal * a[:, None, :, None, :]).reshape(-1, n, n) - (jac.mT * (4.0 * fq / q)) @ jac
         # L is flat along B -> c B U: a gauge-fixed Cholesky solve, eigh only where that fails.
-        step = _newton_step(x, grad, hess, _gauge(rank, dim))
+        step = _newton_step(x, grad, hess, gauge)
         # Each fit halves its own step until L does not fall; the others repeat theirs, which changes nothing.
         x_new, alpha, budget = x + step, None, budget - 1
         for j in ids.tolist():
@@ -466,18 +472,25 @@ def _factor_pass(fits, ids, c, left, est, forms, e_build, weights, empty, n_tota
             grow(~ok, x, trace_target * q[..., :-1] / q[..., -1:], f)
             if not ok.any():
                 break
-            ids, x_new, scale, candidate, p, f, z, nt, ll_new, step, budget, alpha = (
-                v[ok] for v in (ids, x_new, scale, candidate, p, f, z, nt, ll_new, step, budget, alpha))
+            ids, x_new, scale, candidate, p, f, z, nt, ll_new, grad, step, budget, alpha = (
+                v[ok] for v in (ids, x_new, scale, candidate, p, f, z, nt, ll_new, grad, step, budget, alpha))
         x, ll = x_new * np.sqrt(scale[:, 0]), ll_new
         r_new = ((f[..., :-1] / p) @ e_build).view(complex).reshape(-1, dim, dim)
         est[ids] = candidate
         gap, code = _settled(np.linalg.eigvalsh(r_new)[:, -1], nt, trace_target)
         damped = [False] * len(ids) if alpha is None else (alpha[:, 0] < 1.0).tolist()
-        for j, fit_ll, d, g, k in zip(ids.tolist(), ll.tolist(), damped, gap.tolist(), code.tolist()):
-            fits[j].log_likelihood_trace.append(fit_ll)
-            fits[j].likelihood_decreases += d
-            fits[j].certified_gap, fits[j].stop_reason = g, _SETTLED[k]
-        still = (step * step).sum(axis=1) <= _ROUNDING_RTOL**2 * trace_target  # |x|^2 <= trace_target
+        for j, fit_ll, d, g, k in zip(ids.tolist(), ll.tolist(), damped, gaps := gap.tolist(), code.tolist()):
+            fit = fits[j]
+            fit.log_likelihood_trace.append(fit_ll)
+            fit.likelihood_decreases += d
+            fit.certified_gap, fit.stop_reason = g, _SETTLED[k]
+        still = (step * step).sum(axis=1) <= still_tol
+        # Below full rank, a fit more than 1 nat short whose undamped step gains at most 1e-4 of that gap by the
+        # Newton model, N grad . step, cannot certify at this rank and grows as if it stood still.  Only a stack that
+        # holds such a gap pays for the test.
+        if rank < dim and max(gaps) > 1.0:
+            stuck = gap > np.maximum(1.0, 1e4 * nt * (grad * step).sum(axis=1))
+            still |= stuck if alpha is None else stuck & (alpha[:, 0] == 1.0)
         if (out := (code > 0) | still | (budget == 0)).any():
             grow(still & (code == 0), x, p, f)
             if out.all():
@@ -560,9 +573,12 @@ def _bloch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``mu -> 0``, ``psi > 0`` at ``mu = max count``, and the root lies above ``n_b/4`` for every basis with an empty
     outcome.  ``1 - |r|^2`` takes ``s (2 - s)`` for the basis nearest its pole, so ``psi`` keeps the precision of
     its ``s``.  One safeguarded Newton runs over every row outside the ball, bisecting in ``log mu`` for a step
-    that leaves the row's bracket.  A row stops once its step is below :data:`_NEWTON_RTOL`, ``psi`` is below its
-    rounding error or its bracket has closed, and takes the first-order change of its last step.  Every
-    operation is row-local, so a row ends bit for bit as it would alone.
+    that leaves the row's bracket.  A row starts at the Newton step from ``mu = 0`` on ``|r(mu)|^2``,
+    ``(|r0|^2 - 1) / sum_b 4 r_b^2 (1 - r_b^2) / n_b``, where that lies above its bracket's lower end and below the
+    start that puts ``|r|`` at 1 for equal basis totals, and at the latter otherwise.  A row stops once its step
+    is below :data:`_NEWTON_RTOL`, ``psi`` is below its rounding error or its bracket has closed, and takes the
+    first-order change of its last step.  Every operation is row-local, so a row ends bit for bit as it would
+    alone.
     """
     top = counts.max(axis=(1, 2))[:, None, None]
     # The estimate depends only on count ratios: scale exactly, by a power of two, to at most 1,
@@ -571,22 +587,26 @@ def _bloch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponent = np.frexp(top)[1]
     scaled = np.where(counts >= 1e-100 * top, np.ldexp(counts, -exponent), 0.0)
     a, c = scaled[..., 0], scaled[..., 1]
-    n, big, small = a + c, np.maximum(a, c), np.minimum(a, c)
-    r = np.where(n > 0.0, (a - c) / n, 0.0)
-    s = np.where(n > 0.0, 2.0 * small / n, 1.0)
-    norm2 = r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2]
+    n, big, small, d = a + c, np.maximum(a, c), np.minimum(a, c), a - c
+    measured = n > 0.0
+    r = np.where(measured, d / n, 0.0)
+    s = np.where(measured, 2.0 * small / n, 1.0)
+    rr = r * r
+    norm2 = rr[:, 0] + rr[:, 1] + rr[:, 2]
     live = out = norm2 > 1.0
     if not out.any():
         return r, s, norm2
-    pole = np.where((small == 0.0) & (n > 0.0), 0.25 * n, 0.0)
-    lo = np.maximum(np.maximum(pole[:, 0], pole[:, 1]), pole[:, 2])
-    hi = np.maximum(np.maximum(big[:, 0], big[:, 1]), big[:, 2])
-    # Start where |r| = 1 if every basis had the mean total.
-    d = a - c
-    mu = np.maximum(0.5 * (np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-                           - (n[:, 0] + n[:, 1] + n[:, 2]) / 3.0), lo)
+    lo, hi = np.where((small == 0.0) & measured, 0.25 * n, 0.0).max(axis=1), big.max(axis=1)
+    # Start where |r| = 1 if every basis had the mean total, or below that at the Newton step from mu = 0 on
+    # |r(mu)|^2, whose slope there is -4 times the sum of slope = r_b^2 (1 - r_b^2) / n_b over the bases measured.
+    dd = d * d
+    mu = np.maximum(0.5 * (np.sqrt(dd[:, 0] + dd[:, 1] + dd[:, 2]) - (n[:, 0] + n[:, 1] + n[:, 2]) / 3.0), lo)
     mu = np.where((0.0 < mu) & (mu < hi), mu, 0.5 * hi)
+    slope = rr * (1.0 - rr) / np.where(measured, n, 1.0)
+    first = 0.25 * (norm2 - 1.0) / (slope[:, 0] + slope[:, 1] + slope[:, 2])
+    mu = np.where((lo < first) & (first < mu), first, mu)
     sign, diff, half_n, columns = np.where(a >= c, 1.0, -1.0), big - small, 0.5 * n, np.arange(3)
+    diff_15, minus_big, has_small = 1.5 * diff, -big, small > 0.0  # the same in every pass
     for steps in range(_NEWTON_MAX_STEPS + 1):
         if not live.any():
             return np.where(out[:, None], sign * one, r), np.where(out[:, None], at, s), norm2
@@ -599,7 +619,7 @@ def _bloch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = mu[:, None]
         m2 = 2.0 * m
         w = n + m2
-        y = np.sqrt(w / (1.5 * m)) * np.cos(np.arccos(np.minimum(1.5 * diff / w * np.sqrt(6 * m / w), 1.0)) / 3) - 2.0
+        y = np.sqrt(w / (1.5 * m)) * np.cos(np.arccos(np.minimum(diff_15 / w * np.sqrt(6 * m / w), 1.0)) / 3) - 2.0
         p = 11.0 - half_n / m
         y -= (y * (y * (y + 6.0) + p) + (3.0 * (4.0 * m - big) - small) / m2) / (y * (3.0 * y + 12.0) + p)
         t0 = y + 2.0
@@ -608,10 +628,10 @@ def _bloch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # |r| = -t1 from t^2 + t0 t - Q/t0, s from s^2 + y s - small/(mu (1 + t0)).
         k = diff / (m * t0)
         far, near = k / (t0 + np.sqrt(t0 * t0 - 2.0 * k)), np.where(y > 0.0, 2.0 * q / (root + y), 0.5 * (root - y))
-        at, one = np.where(far < 0.5, 1.0 - far, near), np.where(far < 0.5, far, 1.0 - near)
+        at, one = np.where(is_far := far < 0.5, 1.0 - far, near), np.where(is_far, far, 1.0 - near)
         oo = one * one
         # d|r|/dmu = 2 |r| / h', with h' = -big/(2-s)^2 - small/s^2 - 2 mu < 0 the slope of the basis equation.
-        inv_h = 1.0 / (-big / (2.0 - at) ** 2 - np.where(small > 0.0, small / at / at, 0.0) - m2)
+        inv_h = 1.0 / (minus_big / (2.0 - at) ** 2 - np.where(has_small, small / at / at, 0.0) - m2)
         slopes = oo * inv_h
         terms = np.where(columns == at.argmin(axis=1)[:, None], at * (1.0 + one), -oo)
         gap = terms[:, 0] + terms[:, 1] + terms[:, 2]

@@ -24,7 +24,15 @@ every artefact is written and compared against recorded values:
   warm-up truncation and gained columns along R's top eigenvector:
   the ideal16k fits took 83 Newton steps before and 47 after, the
   stream-ideal16k ones 80 and 42, the stream-calibrated ones 46 and 43,
-  the calibrated ones stayed, and no other pin moved.
+  the calibrated ones stayed, and no other pin moved.  The ideal16k and
+  stream-ideal16k ``iterations`` and Newton-split pins were re-pinned once
+  more when a fit below full rank began to grow as soon as its Newton
+  model could not certify it at that rank: each fit that gains a column
+  takes 5 Newton steps where it took 7, the ideal16k fits 47 before and
+  37 after, the stream-ideal16k ones 42 and 34, and no other pin moved.
+  The same change re-pinned ``LINEAR_RATE`` in
+  ``test_process_ml.test_newton_stacks_of_the_example_rows`` (7 Newton
+  steps to 5), outside this file.
 
 Tolerances, and why:
 
@@ -71,9 +79,9 @@ PINS = {
     "ideal16k": (
         ideal_noise(pair_rate=16000),
         "175fb21511ee7509f95e406f11272ef4541ca8d4083552fd238809723d00ceb9",
-        ((33, 39, 34, 33, 39, 34, 33), (33, 39, 34, 33, 39, 39, 33)),
-        (((1, 0), (7, 0), (2, 0), (1, 0), (7, 0), (2, 0), (1, 0)),
-         ((1, 0), (7, 0), (2, 0), (1, 0), (7, 0), (7, 0), (1, 0))),
+        ((33, 37, 34, 33, 37, 34, 33), (33, 37, 34, 33, 37, 37, 33)),
+        (((1, 0), (5, 0), (2, 0), (1, 0), (5, 0), (2, 0), (1, 0)),
+         ((1, 0), (5, 0), (2, 0), (1, 0), (5, 0), (5, 0), (1, 0))),
         """\
 0,0.999999534,0.999999151,0.99999782,1,1,1,0.500024705
 0.523598775598,0.99984403,0.999807682,0.999251333,0.999618953,0.998506783,1,0.500024705
@@ -122,9 +130,9 @@ STREAM_PINS = {
     "stream-ideal16k": (
         ideal_noise(pair_rate=16000),
         "c674fa2d47fea98d4c3e3674159c7811a724340ebc48d08880867a30537d5b55",
-        ((33, 39, 39, 33, 34, 34, 33), (33, 39, 39, 33, 34, 34, 33)),
-        (((1, 0), (7, 0), (7, 0), (1, 0), (2, 0), (2, 0), (1, 0)),
-         ((1, 0), (7, 0), (7, 0), (1, 0), (2, 0), (2, 0), (1, 0))),
+        ((33, 37, 37, 33, 34, 34, 33), (33, 37, 37, 33, 34, 34, 33)),
+        (((1, 0), (5, 0), (5, 0), (1, 0), (2, 0), (2, 0), (1, 0)),
+         ((1, 0), (5, 0), (5, 0), (1, 0), (2, 0), (2, 0), (1, 0))),
         """\
 0,0.999999479,0.99999909,0.999997234,1,1,1,0.499993786
 0.523598775598,0.999855158,0.99983736,0.99921992,0.999677215,0.998451546,1,0.499993786
